@@ -17,7 +17,9 @@ DEFAULT_CHUNK_WORDS = 250
 # list changes segmentation output and is therefore a breaking change.
 ABBREVIATIONS_V1 = frozenset({"Mr.", "Mrs.", "Dr.", "e.g.", "i.e.", "etc.", "vs."})
 
-_TERMINALS = ".!?"
+# Sentence-ending punctuation: it closes a sentence in segmentation and every
+# completed answer ends with one of these.
+TERMINALS = ".!?"
 
 
 class EmptyDocument(ValueError):
@@ -74,6 +76,20 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
+def word_tokens(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
+    """Ordered lowercase tokens of *text*.
+
+    Tokens are whitespace-delimited runs with leading/trailing ASCII
+    punctuation stripped; empties and members of *stopwords* are dropped.
+    """
+    tokens = []
+    for raw in text.split():
+        token = raw.strip(string.punctuation).lower()
+        if token and token not in stopwords:
+            tokens.append(token)
+    return tokens
+
+
 def _guarded_abbreviation(text: str, dot_index: int) -> bool:
     start = dot_index
     while start > 0 and not text[start - 1].isspace():
@@ -94,7 +110,7 @@ def segment_sentences(text: str) -> list[Sentence]:
     length = len(text)
     ends: list[int] = []
     for i, char in enumerate(text):
-        if char not in _TERMINALS:
+        if char not in TERMINALS:
             continue
         j = i + 1
         if j >= length or not text[j].isspace():

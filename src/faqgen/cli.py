@@ -70,6 +70,7 @@ _RUNTIME_ERRORS = (
     MalformedSheet,
     BindFailure,
     OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -129,25 +130,27 @@ def _config_values(config_flag: str | None, environment: Mapping[str, str]) -> d
 
 def _pipeline_config(args: argparse.Namespace, environment: Mapping[str, str]) -> PipelineConfig:
     values = _config_values(args.config, environment)
-    endpoints = BackendEndpointSet(
-        domain_url=values.get("domain_url") or None,
-        questions_url=values.get("questions_url") or None,
-        answer_phrase_url=values.get("answer_phrase_url") or None,
-        complete_answer_url=values.get("complete_answer_url") or None,
-        timeout_ms=values.get("timeout_ms", 10_000),
-        max_retries=values.get("max_retries", 2),
-    )
     workers = args.workers if args.workers is not None else values.get("workers")
     kwargs = dict(
         chunk_size_words=values.get("chunk_size_words", DEFAULT_CHUNK_WORDS),
         question_cap=values.get("question_cap", DEFAULT_QUESTION_CAP),
-        endpoints=endpoints,
         lexicon_path=values.get("lexicon_path") or None,
         requested_faq_count=args.count,
     )
     if workers is not None:
         kwargs["worker_count"] = workers
-    return PipelineConfig(**kwargs)
+    try:
+        endpoints = BackendEndpointSet(
+            domain_url=values.get("domain_url") or None,
+            questions_url=values.get("questions_url") or None,
+            answer_phrase_url=values.get("answer_phrase_url") or None,
+            complete_answer_url=values.get("complete_answer_url") or None,
+            timeout_ms=values.get("timeout_ms", 10_000),
+            max_retries=values.get("max_retries", 2),
+        )
+        return PipelineConfig(endpoints=endpoints, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {exc}") from None
 
 
 def _cmd_generate(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
@@ -182,10 +185,10 @@ def _cmd_classify(args: argparse.Namespace, environment: Mapping[str, str]) -> i
 
 def _cmd_serve_stub(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdigit():
+    if not host or not port_text.isdecimal() or int(port_text) > 65535:
         raise UsageError(f"--bind must be host:port, got {args.bind!r}")
     print(f"stub backend listening on {args.bind}")
-    serve_stub(args.bind)
+    serve_stub(host, int(port_text))
     return 0
 
 

@@ -1,21 +1,20 @@
 """The closed set of content domains and the keyword-lexicon classifier.
 
-Classification routes to a remote backend when one is configured, otherwise
-it falls back to counting lexicon term hits per domain, which keeps the whole
-pipeline runnable offline.
+The classifier counts lexicon term hits per domain. It is the built-in
+answer of the domain step (see ``gateway.identify_domain``) and the fallback
+when a remote classifier fails, which keeps the whole pipeline runnable
+offline.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
-if TYPE_CHECKING:
-    from .gateway import BackendEndpointSet
+from .chunker import word_tokens
 
 # Canonical (alphabetical) order; ties in classification break toward the
 # earlier entry.
@@ -133,43 +132,24 @@ def default_lexicon() -> DomainLexicon:
         return _parse_lexicon_lines(fh, Path(_DEFAULT_LEXICON_RESOURCE).stem)
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    for raw in text.split():
-        token = raw.strip(string.punctuation).lower()
-        if token:
-            tokens.append(token)
-    return tokens
-
-
 def lexicon_hits(context: str, lexicon: DomainLexicon) -> dict[str, int]:
     """Token-occurrence hit count per domain for *context*."""
     hits = {domain: 0 for domain in DOMAINS}
-    for token in _tokenize(context):
+    for token in word_tokens(context):
         for domain in DOMAINS:
             if token in lexicon.entries[domain]:
                 hits[domain] += 1
     return hits
 
 
-def classify(
-    context: str,
-    lexicon: DomainLexicon | None = None,
-    endpoints: BackendEndpointSet | None = None,
-) -> str:
-    """Assign *context* one of the 17 domains.
+def classify(context: str, lexicon: DomainLexicon | None = None) -> str:
+    """Assign *context* one of the 17 domains by lexicon argmax.
 
-    With a configured remote domain endpoint the backend's answer is used
-    (validated against the closed set). Otherwise the lexicon argmax wins,
-    ties breaking by canonical order, and a context hitting no term at all
+    Ties break by canonical order, and a context hitting no term at all
     lands in the generic domain.
     """
     if not context or not context.strip():
         raise EmptyContext("cannot classify blank context")
-    if endpoints is not None and endpoints.domain_url:
-        from . import gateway
-
-        return parse_domain(gateway.remote_domain(context, endpoints))
     lexicon = lexicon or default_lexicon()
     hits = lexicon_hits(context, lexicon)
     best_domain = GENERIC_DOMAIN

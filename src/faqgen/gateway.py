@@ -1,20 +1,23 @@
-"""Gateway to the three generation steps: questions, answer phrases, answers.
+"""Gateway to the four model steps: domain, questions, answer phrase, answer.
 
-Each step is served either by a remote HTTP backend speaking the fixed JSON
-wire protocol or, when no URL is configured, by a built-in deterministic
-stub. Stub outputs are pure functions of their inputs so end-to-end runs are
-reproducible offline.
+Each step builds one request of the fixed JSON wire protocol. A remote HTTP
+backend answers it when the step has a URL; otherwise the built-in
+deterministic stub for that step does (``STUB_HANDLERS``, which the stub
+server also serves). Either way the reply is parsed and normalised by the
+same code, so offline and HTTP runs give the same results. Stub outputs are
+pure functions of their inputs so end-to-end runs are reproducible offline.
 """
 
 from __future__ import annotations
 
-import string
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import requests
 
-from .chunker import segment_sentences
+from .chunker import TERMINALS, segment_sentences, word_tokens
+from .domains import DOMAINS, DomainLexicon, classify, parse_domain
 from .ranker import content_token_list
 
 DEFAULT_QUESTION_CAP = 5
@@ -26,8 +29,6 @@ RETRY_BASE_DELAY_SECONDS = 0.2
 # Version 1 stub question template; changing it changes every stub output.
 QUESTION_TEMPLATE_V1 = "What does the passage state about {anchor}?"
 ANSWER_PHRASE_TOKEN_LIMIT = 6
-
-_TERMINALS = (".", "!", "?")
 
 
 class GatewayError(Exception):
@@ -97,7 +98,7 @@ class CompletedAnswer:
     text: str
 
     def __post_init__(self) -> None:
-        if not self.text or not self.text.endswith(_TERMINALS):
+        if not self.text or self.text[-1] not in TERMINALS:
             raise ValueError(
                 f"completed answer must end with terminal punctuation: {self.text!r}"
             )
@@ -129,9 +130,10 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
             continue
         if response.status_code != 200:
             try:
-                detail = response.json().get("error", "")
+                reply = response.json()
             except ValueError:
-                detail = response.text[:200]
+                reply = None
+            detail = reply.get("error", "") if isinstance(reply, dict) else response.text[:200]
             raise RequestRejected(
                 f"{url} rejected request: HTTP {response.status_code} {detail}".rstrip()
             )
@@ -147,28 +149,9 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
     raise BackendUnavailable(f"{url} unavailable after {attempts} attempt(s): {last_error}")
 
 
-def remote_domain(context: str, endpoints: BackendEndpointSet) -> str:
-    """Fetch the raw domain label from the remote classifier."""
-    body = post_json(endpoints.domain_url, {"context": context}, endpoints)
-    label = body.get("domain")
-    if not isinstance(label, str):
-        raise BackendUnavailable(f"{endpoints.domain_url} returned malformed domain body")
-    return label
-
-
 # ---------------------------------------------------------------------------
-# Deterministic stub logic (shared by the in-process path and the stub server)
+# Deterministic stub logic (the reference functions behind the stub handlers)
 # ---------------------------------------------------------------------------
-
-
-def _plain_tokens(text: str) -> list[str]:
-    # content_token_list minus the stopword filter; last-resort tokens only
-    tokens = []
-    for raw in text.split():
-        token = raw.strip(string.punctuation).lower()
-        if token:
-            tokens.append(token)
-    return tokens
 
 
 def _anchor_token(question_text: str) -> str | None:
@@ -207,7 +190,7 @@ def stub_answer_phrase(context: str, question_text: str) -> str:
     tokens = content_token_list(sentence)[:ANSWER_PHRASE_TOKEN_LIMIT]
     if not tokens:
         # stopword-only sentence: fall back to its plain tokens
-        tokens = _plain_tokens(sentence)[:ANSWER_PHRASE_TOKEN_LIMIT]
+        tokens = word_tokens(sentence)[:ANSWER_PHRASE_TOKEN_LIMIT]
     if not tokens:
         raise EmptyGeneration(f"no usable tokens in sentence {sentence!r}")
     return " ".join(tokens)
@@ -216,14 +199,108 @@ def stub_answer_phrase(context: str, question_text: str) -> str:
 def stub_complete_answer(context: str, question_text: str) -> str:
     """The full source sentence the phrase was drawn from, punctuation ensured."""
     sentence = _select_sentence(context, question_text)
-    if not sentence.endswith(_TERMINALS):
+    if sentence[-1] not in TERMINALS:
         sentence += "."
     return sentence
 
 
 # ---------------------------------------------------------------------------
+# Stub handlers: one wire-protocol request body in, one reply body out.
+# Invalid requests raise RequestRejected, which the stub server sends as 422.
+# ---------------------------------------------------------------------------
+
+
+def _required_text(body: dict, key: str) -> str:
+    value = body.get(key)
+    if not isinstance(value, str) or not value.strip():
+        raise RequestRejected(f"blank or missing {key!r}")
+    return value
+
+
+def _domain_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+    return {"domain": classify(_required_text(body, "context"), lexicon)}
+
+
+def _questions_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+    context = _required_text(body, "context")
+    domain = body.get("domain", "")
+    if domain not in DOMAINS:
+        raise RequestRejected(f"unknown domain: {domain!r}")
+    cap = body.get("cap", DEFAULT_QUESTION_CAP)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise RequestRejected(f"cap must be an integer >= 1, got {cap!r}")
+    return {"questions": stub_question_texts(context, cap)}
+
+
+def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+    context = _required_text(body, "context")
+    question = _required_text(body, "question")
+    try:
+        return {"answer_phrase": stub_answer_phrase(context, question)}
+    except EmptyGeneration as exc:
+        raise RequestRejected(str(exc)) from exc
+
+
+def _complete_answer_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+    context = _required_text(body, "context")
+    question = _required_text(body, "question")
+    _required_text(body, "answer_phrase")
+    return {"answer": stub_complete_answer(context, question)}
+
+
+# Keyed by step name: the stub server serves each at POST /v1/<step>, and a
+# step's URL field in BackendEndpointSet is <step>_url.
+STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None], dict]] = {
+    "domain": _domain_stub,
+    "questions": _questions_stub,
+    "answer_phrase": _answer_phrase_stub,
+    "complete_answer": _complete_answer_stub,
+}
+
+
+# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
+
+
+def _dispatch(
+    step: str,
+    request: dict,
+    endpoints: BackendEndpointSet | None,
+    lexicon: DomainLexicon | None = None,
+) -> tuple[dict, str]:
+    """The reply to *request* and who sent it: the step's remote backend when
+    it has a URL, else its built-in stub."""
+    url = getattr(endpoints, f"{step}_url") if endpoints else None
+    if url:
+        return post_json(url, request, endpoints), url
+    return STUB_HANDLERS[step](request, lexicon), f"{step} stub"
+
+
+def _reply_text(reply: dict, key: str, source: str) -> str:
+    """The reply's *key*, which must be a string that is not blank, trimmed."""
+    value = reply.get(key)
+    if not isinstance(value, str):
+        raise BackendUnavailable(f"{source} returned malformed {key} body")
+    text = value.strip()
+    if not text:
+        raise EmptyGeneration(f"{source} returned blank {key}")
+    return text
+
+
+def identify_domain(
+    context: str,
+    lexicon: DomainLexicon | None = None,
+    endpoints: BackendEndpointSet | None = None,
+) -> str:
+    """Assign *context* one of the 17 domains.
+
+    The built-in stub is the lexicon classifier. The trimmed label must
+    belong to the closed set, or :class:`~faqgen.domains.InvalidDomain` is
+    raised.
+    """
+    reply, source = _dispatch("domain", {"context": context}, endpoints, lexicon)
+    return parse_domain(_reply_text(reply, "domain", source))
 
 
 def generate_questions(
@@ -235,38 +312,23 @@ def generate_questions(
 ) -> list[GeneratedQuestion]:
     """Generate up to *cap* questions for *context*, conditioned on *domain*.
 
-    Remote path: POST to the questions endpoint, then trim, truncate to
-    *cap* and drop exact-duplicate texts keeping the first occurrence.
-    Raises :class:`EmptyGeneration` when a backend returns zero questions.
+    The reply's texts are trimmed, blanks dropped, truncated to *cap*, given
+    a '?' when they lack one, and exact duplicates dropped keeping the first
+    occurrence. Raises :class:`EmptyGeneration` when nothing is left.
     """
     if not context.strip():
         raise ValueError("context must be non-empty")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    endpoints = endpoints or BackendEndpointSet()
-    if endpoints.questions_url:
-        body = post_json(
-            endpoints.questions_url,
-            {"context": context, "domain": domain, "cap": cap},
-            endpoints,
-        )
-        raw = body.get("questions")
-        if not isinstance(raw, list) or not all(isinstance(q, str) for q in raw):
-            raise BackendUnavailable(
-                f"{endpoints.questions_url} returned malformed questions body"
-            )
-        texts = [q.strip() for q in raw if q.strip()][:cap]
-        seen: set[str] = set()
-        deduped = []
-        for text in texts:
-            if text not in seen:
-                seen.add(text)
-                deduped.append(text)
-        texts = [t if t.endswith("?") else t + "?" for t in deduped]
-        if not texts:
-            raise EmptyGeneration(f"{endpoints.questions_url} returned zero questions")
-    else:
-        texts = stub_question_texts(context, cap)
+    request = {"context": context, "domain": domain, "cap": cap}
+    reply, source = _dispatch("questions", request, endpoints)
+    raw = reply.get("questions")
+    if not isinstance(raw, list) or not all(isinstance(q, str) for q in raw):
+        raise BackendUnavailable(f"{source} returned malformed questions body")
+    texts = [q.strip() for q in raw if q.strip()][:cap]
+    texts = list(dict.fromkeys(t if t.endswith("?") else t + "?" for t in texts))
+    if not texts:
+        raise EmptyGeneration(f"{source} returned zero questions")
     return [
         GeneratedQuestion(chunk_index=chunk_index, q_index=index, text=text)
         for index, text in enumerate(texts)
@@ -281,24 +343,9 @@ def extract_answer_phrase(
     """Extract the keyword/keyphrase answering *question* from *context*."""
     if not context.strip():
         raise ValueError("context must be non-empty")
-    endpoints = endpoints or BackendEndpointSet()
-    if endpoints.answer_phrase_url:
-        body = post_json(
-            endpoints.answer_phrase_url,
-            {"context": context, "question": question.text},
-            endpoints,
-        )
-        raw = body.get("answer_phrase")
-        if not isinstance(raw, str):
-            raise BackendUnavailable(
-                f"{endpoints.answer_phrase_url} returned malformed answer_phrase body"
-            )
-        text = raw.strip()
-        if not text:
-            raise EmptyGeneration(f"{endpoints.answer_phrase_url} returned blank phrase")
-    else:
-        text = stub_answer_phrase(context, question.text)
-    return AnswerPhrase(text=text)
+    request = {"context": context, "question": question.text}
+    reply, source = _dispatch("answer_phrase", request, endpoints)
+    return AnswerPhrase(text=_reply_text(reply, "answer_phrase", source))
 
 
 def complete_answer(
@@ -307,26 +354,13 @@ def complete_answer(
     phrase: AnswerPhrase,
     endpoints: BackendEndpointSet | None = None,
 ) -> CompletedAnswer:
-    """Elaborate *phrase* into a complete, readable answer sentence."""
+    """Elaborate *phrase* into a complete, readable answer sentence, ending
+    in terminal punctuation ('.' is added when the reply has none)."""
     if not phrase.text:
         raise ValueError("phrase must be non-empty")
-    endpoints = endpoints or BackendEndpointSet()
-    if endpoints.complete_answer_url:
-        body = post_json(
-            endpoints.complete_answer_url,
-            {"context": context, "question": question.text, "answer_phrase": phrase.text},
-            endpoints,
-        )
-        raw = body.get("answer")
-        if not isinstance(raw, str):
-            raise BackendUnavailable(
-                f"{endpoints.complete_answer_url} returned malformed answer body"
-            )
-        text = raw.strip()
-        if not text:
-            raise EmptyGeneration(f"{endpoints.complete_answer_url} returned blank answer")
-        if not text.endswith(_TERMINALS):
-            text += "."
-    else:
-        text = stub_complete_answer(context, question.text)
+    request = {"context": context, "question": question.text, "answer_phrase": phrase.text}
+    reply, source = _dispatch("complete_answer", request, endpoints)
+    text = _reply_text(reply, "answer", source)
+    if text[-1] not in TERMINALS:
+        text += "."
     return CompletedAnswer(text=text)

@@ -21,6 +21,7 @@ from .gateway import (
     complete_answer,
     extract_answer_phrase,
     generate_questions,
+    identify_domain,
 )
 from .ranker import QaPair, ScoredFaq, rank
 
@@ -131,7 +132,7 @@ def process_chunk(
     """
     warnings: list[PipelineWarning] = []
     try:
-        domain = classify(chunk.context, lexicon, cfg.endpoints)
+        domain = identify_domain(chunk.context, lexicon, cfg.endpoints)
     except (GatewayError, InvalidDomain) as exc:
         domain = classify(chunk.context, lexicon)
         warnings.append(

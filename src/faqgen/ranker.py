@@ -8,10 +8,11 @@ loses one point per 200 characters of question-answer text.
 from __future__ import annotations
 
 import math
-import string
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from .chunker import word_tokens
 
 if TYPE_CHECKING:
     from .chunker import Chunk
@@ -32,8 +33,6 @@ STOPWORDS_V1 = frozenset(
     not no so such
     """.split()
 )
-
-_TOKEN_TRIM = string.punctuation
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,8 @@ class ScoredFaq:
 
 
 def content_token_list(text: str) -> list[str]:
-    """Ordered lowercase content tokens of *text*.
-
-    Tokens are whitespace-delimited runs with leading/trailing ASCII
-    punctuation stripped; empties and stopwords are dropped.
-    """
-    tokens: list[str] = []
-    for raw in text.split():
-        token = raw.strip(_TOKEN_TRIM).lower()
-        if token and token not in STOPWORDS_V1:
-            tokens.append(token)
-    return tokens
+    """Ordered lowercase tokens of *text* with the stopwords dropped."""
+    return word_tokens(text, STOPWORDS_V1)
 
 
 def content_tokens(text: str) -> Counter[str]:

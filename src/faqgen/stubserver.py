@@ -6,8 +6,10 @@ POST /v1/answer_phrase    {"context": s, "question": s}                     -> {
 POST /v1/complete_answer  {"context": s, "question": s, "answer_phrase": s} -> {"answer": s}
 GET  /v1/health                                                             -> {"status": "ok"}
 
-Validation failures return 422 with {"error": s}. Responses are pure
-functions of the request bodies.
+Each POST is answered by the same stub handler the gateway calls in-process
+(``gateway.STUB_HANDLERS``); this module only routes, frames and sets status
+codes. Malformed HTTP framing returns 400 and an invalid body 422, both with
+{"error": s}. Responses are pure functions of the request bodies.
 """
 
 from __future__ import annotations
@@ -15,69 +17,14 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .domains import DOMAINS, DomainLexicon, classify, default_lexicon
-from .gateway import (
-    DEFAULT_QUESTION_CAP,
-    EmptyGeneration,
-    stub_answer_phrase,
-    stub_complete_answer,
-    stub_question_texts,
-)
+from .domains import DomainLexicon, default_lexicon
+from .gateway import STUB_HANDLERS, RequestRejected
+
+_ROUTES = {f"/v1/{step}": handler for step, handler in STUB_HANDLERS.items()}
 
 
 class BindFailure(OSError):
     """The requested bind address could not be acquired."""
-
-
-class _Invalid(ValueError):
-    pass
-
-
-def _required_text(body: dict, key: str) -> str:
-    value = body.get(key)
-    if not isinstance(value, str) or not value.strip():
-        raise _Invalid(f"blank or missing {key!r}")
-    return value
-
-
-def _domain_endpoint(body: dict, lexicon: DomainLexicon) -> dict:
-    context = _required_text(body, "context")
-    return {"domain": classify(context, lexicon)}
-
-
-def _questions_endpoint(body: dict, lexicon: DomainLexicon) -> dict:
-    context = _required_text(body, "context")
-    domain = body.get("domain", "")
-    if domain not in DOMAINS:
-        raise _Invalid(f"unknown domain: {domain!r}")
-    cap = body.get("cap", DEFAULT_QUESTION_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise _Invalid(f"cap must be an integer >= 1, got {cap!r}")
-    return {"questions": stub_question_texts(context, cap)}
-
-
-def _answer_phrase_endpoint(body: dict, lexicon: DomainLexicon) -> dict:
-    context = _required_text(body, "context")
-    question = _required_text(body, "question")
-    try:
-        return {"answer_phrase": stub_answer_phrase(context, question)}
-    except EmptyGeneration as exc:
-        raise _Invalid(str(exc)) from exc
-
-
-def _complete_answer_endpoint(body: dict, lexicon: DomainLexicon) -> dict:
-    context = _required_text(body, "context")
-    question = _required_text(body, "question")
-    _required_text(body, "answer_phrase")
-    return {"answer": stub_complete_answer(context, question)}
-
-
-_ROUTES = {
-    "/v1/domain": _domain_endpoint,
-    "/v1/questions": _questions_endpoint,
-    "/v1/answer_phrase": _answer_phrase_endpoint,
-    "/v1/complete_answer": _complete_answer_endpoint,
-}
 
 
 class StubBackendServer(ThreadingHTTPServer):
@@ -108,7 +55,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         if handler is None:
             self._send(404, {"error": f"no such endpoint: {self.path}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+            return
         try:
             body = json.loads(self.rfile.read(length).decode("utf-8") or "null")
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -119,7 +72,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         try:
             self._send(200, handler(body, self.server.lexicon))
-        except _Invalid as exc:
+        except RequestRejected as exc:
             self._send(422, {"error": str(exc)})
 
     def _send(self, status: int, payload: dict) -> None:
@@ -138,12 +91,9 @@ def create_server(
     return StubBackendServer((host, port), lexicon or default_lexicon())
 
 
-def serve_stub(bind_address: str, lexicon: DomainLexicon | None = None) -> None:
-    """Run the stub backend until interrupted. *bind_address* is ``host:port``."""
-    host, _, port_text = bind_address.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"bind address must be host:port, got {bind_address!r}")
-    server = create_server(host, int(port_text), lexicon)
+def serve_stub(host: str, port: int, lexicon: DomainLexicon | None = None) -> None:
+    """Run the stub backend on (host, port) until interrupted."""
+    server = create_server(host, port, lexicon)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -138,6 +138,24 @@ class TestGenerate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("setting", ["chunk_size_words = 0", "timeout_ms = 0"])
+    def test_out_of_range_config_value_is_usage_error(self, doc_file, tmp_path, capsys, setting):
+        bad = tmp_path / "bad.conf"
+        bad.write_text(setting + "\n", encoding="utf-8")
+        code = run_cli(
+            ["generate", "--input", str(doc_file), "--count", "1", "--config", str(bad)],
+            {},
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_input_is_runtime_error(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("Caf\u00e9 au lait.".encode("latin-1"))
+        code = run_cli(["generate", "--input", str(latin1), "--count", "1"], {})
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_empty_document_is_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("   ", encoding="utf-8")
@@ -175,6 +193,9 @@ class TestUsageErrors:
 
     def test_serve_stub_bad_bind(self, capsys):
         assert run_cli(["serve-stub", "--bind", "nonsense"], {}) == 2
+
+    def test_serve_stub_port_out_of_range(self, capsys):
+        assert run_cli(["serve-stub", "--bind", "127.0.0.1:70000"], {}) == 2
 
 
 class TestDatasetCommands:

@@ -49,9 +49,29 @@ class TestStubQuestions:
         assert [(q.chunk_index, q.q_index) for q in questions] == [(0, 0), (0, 1), (0, 2)]
 
     def test_cap_saturation(self):
-        context = " ".join(f"Sentence number {i} talks about topic{i}." for i in range(8))
+        context = " ".join(f"Topic{i} is sentence number {i} here." for i in range(8))
         questions = generate_questions(context, "Gaming", 4, cap=5)
         assert len(questions) == 5
+
+    @pytest.mark.parametrize("over_http", [False, True])
+    def test_repeated_anchor_yields_one_question(self, stub_server_url, over_http):
+        # every sentence anchors on "sentence", so the five stub texts are equal
+        context = " ".join(f"Sentence number {i} talks about topic{i}." for i in range(8))
+        endpoints = BackendEndpointSet(
+            questions_url=f"{stub_server_url}/v1/questions" if over_http else None,
+            max_retries=0,
+        )
+        questions = generate_questions(context, "Gaming", 4, cap=5, endpoints=endpoints)
+        assert [q.text for q in questions] == ["What does the passage state about sentence?"]
+
+    @pytest.mark.parametrize("over_http", [False, True])
+    def test_stub_rejection_is_request_rejected(self, stub_server_url, over_http):
+        endpoints = BackendEndpointSet(
+            questions_url=f"{stub_server_url}/v1/questions" if over_http else None,
+            max_retries=0,
+        )
+        with pytest.raises(RequestRejected, match="unknown domain"):
+            generate_questions(THREE_SENTENCES, "Astrology", 0, endpoints=endpoints)
 
     def test_skips_content_free_sentences(self):
         context = "It is. Dogs bark loudly."
@@ -209,6 +229,13 @@ class TestRemoteQuestions:
         url, server = canned_backend({"/v1/questions": [(422, {"error": "bad"})]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=3)
         with pytest.raises(RequestRejected):
+            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+        assert server.hits["/v1/questions"] == 1
+
+    def test_non_object_4xx_body_is_rejected(self, canned_backend):
+        url, server = canned_backend({"/v1/questions": [(400, [1, 2])]})
+        endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=3)
+        with pytest.raises(RequestRejected, match=r"HTTP 400 \[1, 2\]"):
             generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
         assert server.hits["/v1/questions"] == 1
 

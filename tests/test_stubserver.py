@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faqgen.chunker import SourceDocument
 from faqgen.domains import classify, default_lexicon
 from faqgen.gateway import (
     BackendEndpointSet,
@@ -11,9 +17,20 @@ from faqgen.gateway import (
     stub_complete_answer,
     stub_question_texts,
 )
+from faqgen.pipeline import PipelineConfig, run
 from faqgen.stubserver import BindFailure, create_server
 
 CONTEXT = "Cats sleep daily. Dogs bark loudly. Birds fly south."
+
+# Lexicon terms, stopwords (stopword-only sentences have no question anchor)
+# and a punctuation-only token (a sentence of it has no tokens at all).
+WORDS = ["cats", "dogs", "music", "football", "quantum", "melody", "sentence",
+         "the", "it", "is", "of", "--"]
+SENTENCES = st.builds(
+    lambda words, end: " ".join(words).capitalize() + end,
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
+    st.sampled_from([".", "!", "?", ""]),
+)
 
 
 def post(url, path, payload):
@@ -111,6 +128,55 @@ class TestRoundTrip:
         remote = generate_questions(CONTEXT, "Diaries and Daily Life", 7, endpoints=endpoints)
         local = generate_questions(CONTEXT, "Diaries and Daily Life", 7)
         assert remote == local
+
+
+class TestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_400(self, stub_server_url, length):
+        host, port = stub_server_url.removeprefix("http://").split(":")
+        request = f"POST /v1/domain HTTP/1.0\r\nContent-Length: {length}\r\n\r\n{{}}"
+        reply = b""
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request.encode("ascii"))
+            while data := sock.recv(4096):
+                reply += data
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "error" in json.loads(body)
+
+
+class TestOfflineEqualsHttp:
+    @given(
+        sentences=st.lists(SENTENCES, min_size=1, max_size=8),
+        chunk_size=st.integers(3, 30),
+        cap=st.integers(1, 5),
+        count=st.integers(1, 12),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pipeline_output_is_the_same(self, stub_server_url, sentences, chunk_size, cap, count):
+        document = SourceDocument.from_text("doc", " ".join(sentences))
+        offline = PipelineConfig(
+            chunk_size_words=chunk_size, question_cap=cap, requested_faq_count=count,
+            worker_count=1,
+        )
+        http = PipelineConfig(
+            chunk_size_words=chunk_size, question_cap=cap, requested_faq_count=count,
+            worker_count=1,
+            endpoints=BackendEndpointSet(
+                **{f"{step}_url": f"{stub_server_url}/v1/{step}"
+                   for step in ("domain", "questions", "answer_phrase", "complete_answer")},
+                max_retries=0,
+            ),
+        )
+        local, remote = run(document, offline), run(document, http)
+        assert local.faqs == remote.faqs
+        assert local.total_generated == remote.total_generated
+        assert local.per_chunk_domains == remote.per_chunk_domains
+        assert [(w.kind, w.chunk_index) for w in local.warnings] == [
+            (w.kind, w.chunk_index) for w in remote.warnings
+        ]
+        if not local.warnings and not remote.warnings:
+            assert local.to_json() == remote.to_json()
 
 
 class TestBind:
