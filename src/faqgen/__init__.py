@@ -4,143 +4,25 @@ The pipeline chunks the document on sentence boundaries, assigns each chunk
 one of 17 content domains, generates question-answer pairs through pluggable
 backends (with deterministic offline stubs), and ranks the pairs against
 their source context. Dataset builders and review-score aggregation tooling
-ship alongside.
+ship alongside, in ``faqgen.datasets`` and ``faqgen.reviews``.
 """
 
-from .chunker import (
-    DEFAULT_CHUNK_WORDS,
-    Chunk,
-    EmptyDocument,
-    Sentence,
-    SourceDocument,
-    build_chunks,
-    segment_sentences,
-    word_count,
-)
-from .datasets import (
-    AnswerRow,
-    MalformedDataset,
-    MissingCompleteAnswer,
-    PipeInQuestion,
-    QgRow,
-    ShortfallEntry,
-    SquadRecord,
-    build_ac_dataset,
-    build_ae_dataset,
-    build_qg_datasets,
-    parse_squad,
-)
-from .domains import (
-    DOMAINS,
-    DomainLexicon,
-    EmptyContext,
-    InvalidDomain,
-    classify,
-    default_lexicon,
-    list_domains,
-    load_lexicon,
-)
-from .gateway import (
-    DEFAULT_QUESTION_CAP,
-    AnswerPhrase,
-    BackendEndpointSet,
-    BackendUnavailable,
-    CompletedAnswer,
-    EmptyGeneration,
-    GatewayError,
-    GeneratedQuestion,
-    RequestRejected,
-    complete_answer,
-    extract_answer_phrase,
-    generate_questions,
-)
-from .pipeline import (
-    FaqResult,
-    InvalidCount,
-    PipelineConfig,
-    PipelineWarning,
-    compile_faqs,
-    process_chunk,
-    run,
-)
-from .ranker import (
-    QaPair,
-    ScoredFaq,
-    content_tokens,
-    keyword_score,
-    rank,
-    semantic_similarity,
-)
-from .reviews import (
-    DomainAggregate,
-    ReviewRecord,
-    aggregate,
-    domain_averages,
-    reviewer_stddevs,
-)
-from .stubserver import BindFailure, create_server, serve_stub
+# The dataset and review modules load with the package: bench/tracing.py
+# looks the functions it times up in sys.modules after ``import faqgen``.
+from . import datasets, reviews  # noqa: F401
+from .chunker import EmptyDocument, SourceDocument
+from .gateway import BackendEndpointSet
+from .pipeline import FaqResult, PipelineConfig, PipelineWarning, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_CHUNK_WORDS",
-    "DEFAULT_QUESTION_CAP",
-    "DOMAINS",
-    "AnswerPhrase",
-    "AnswerRow",
     "BackendEndpointSet",
-    "BackendUnavailable",
-    "BindFailure",
-    "Chunk",
-    "CompletedAnswer",
-    "DomainAggregate",
-    "DomainLexicon",
-    "EmptyContext",
     "EmptyDocument",
-    "EmptyGeneration",
     "FaqResult",
-    "GatewayError",
-    "GeneratedQuestion",
-    "InvalidCount",
-    "InvalidDomain",
-    "MalformedDataset",
-    "MissingCompleteAnswer",
-    "PipeInQuestion",
     "PipelineConfig",
     "PipelineWarning",
-    "QaPair",
-    "QgRow",
-    "RequestRejected",
-    "ReviewRecord",
-    "ScoredFaq",
-    "Sentence",
-    "ShortfallEntry",
     "SourceDocument",
-    "SquadRecord",
-    "aggregate",
-    "build_ac_dataset",
-    "build_ae_dataset",
-    "build_chunks",
-    "build_qg_datasets",
-    "classify",
-    "compile_faqs",
-    "complete_answer",
-    "content_tokens",
-    "create_server",
-    "default_lexicon",
-    "domain_averages",
-    "extract_answer_phrase",
-    "generate_questions",
-    "keyword_score",
-    "list_domains",
-    "load_lexicon",
-    "parse_squad",
-    "process_chunk",
-    "rank",
-    "reviewer_stddevs",
+    "__version__",
     "run",
-    "segment_sentences",
-    "semantic_similarity",
-    "serve_stub",
-    "word_count",
 ]

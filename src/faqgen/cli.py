@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
@@ -33,8 +34,8 @@ from .domains import (
     default_lexicon,
     load_lexicon,
 )
-from .gateway import DEFAULT_QUESTION_CAP, BackendEndpointSet, GatewayError
-from .pipeline import InvalidCount, PipelineConfig, run
+from .gateway import BackendEndpointSet, GatewayError
+from .pipeline import PipelineConfig, run
 from .reviews import (
     DuplicateReview,
     EmptyDomain,
@@ -55,12 +56,12 @@ _STR_KEYS = {
     "complete_answer_url",
     "lexicon_path",
 }
+_ENDPOINT_KEYS = {field.name for field in fields(BackendEndpointSet)}
 
 _RUNTIME_ERRORS = (
     EmptyDocument,
     GatewayError,
     InvalidDomain,
-    InvalidCount,
     LexiconFormatError,
     MalformedDataset,
     PipeInQuestion,
@@ -130,25 +131,20 @@ def _config_values(config_flag: str | None, environment: Mapping[str, str]) -> d
 
 def _pipeline_config(args: argparse.Namespace, environment: Mapping[str, str]) -> PipelineConfig:
     values = _config_values(args.config, environment)
-    workers = args.workers if args.workers is not None else values.get("workers")
-    kwargs = dict(
-        chunk_size_words=values.get("chunk_size_words", DEFAULT_CHUNK_WORDS),
-        question_cap=values.get("question_cap", DEFAULT_QUESTION_CAP),
-        lexicon_path=values.get("lexicon_path") or None,
-        requested_faq_count=args.count,
-    )
-    if workers is not None:
-        kwargs["worker_count"] = workers
+    if args.workers is not None:
+        values["workers"] = args.workers
+    # Unset keys keep the library defaults; an empty string means "none",
+    # which is the default of every string key.
+    kwargs = {key: value for key, value in values.items() if value != ""}
+    endpoint_kwargs = {key: kwargs.pop(key) for key in _ENDPOINT_KEYS & kwargs.keys()}
+    if "workers" in kwargs:
+        kwargs["worker_count"] = kwargs.pop("workers")
     try:
-        endpoints = BackendEndpointSet(
-            domain_url=values.get("domain_url") or None,
-            questions_url=values.get("questions_url") or None,
-            answer_phrase_url=values.get("answer_phrase_url") or None,
-            complete_answer_url=values.get("complete_answer_url") or None,
-            timeout_ms=values.get("timeout_ms", 10_000),
-            max_retries=values.get("max_retries", 2),
+        return PipelineConfig(
+            endpoints=BackendEndpointSet(**endpoint_kwargs),
+            requested_faq_count=args.count,
+            **kwargs,
         )
-        return PipelineConfig(endpoints=endpoints, **kwargs)
     except ValueError as exc:
         raise UsageError(f"invalid config: {exc}") from None
 
@@ -187,7 +183,6 @@ def _cmd_serve_stub(args: argparse.Namespace, environment: Mapping[str, str]) ->
     host, _, port_text = args.bind.rpartition(":")
     if not host or not port_text.isdecimal() or int(port_text) > 65535:
         raise UsageError(f"--bind must be host:port, got {args.bind!r}")
-    print(f"stub backend listening on {args.bind}")
     serve_stub(host, int(port_text))
     return 0
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .chunker import DEFAULT_CHUNK_WORDS, Chunk, SourceDocument, build_chunks
@@ -24,10 +25,6 @@ from .gateway import (
     identify_domain,
 )
 from .ranker import QaPair, ScoredFaq, rank
-
-
-class InvalidCount(ValueError):
-    """A non-positive number of FAQs was requested."""
 
 
 def _default_workers() -> int:
@@ -177,33 +174,6 @@ def process_chunk(
     return ChunkOutcome(chunk.index, domain, pairs, warnings)
 
 
-def compile_faqs(
-    scored: list[ScoredFaq], k: int
-) -> tuple[list[ScoredFaq], PipelineWarning | None]:
-    """Take the top *k* of an already-ranked list.
-
-    When more FAQs are requested than exist, everything is returned along
-    with a single over-request warning naming both numbers.
-    """
-    if k < 1:
-        raise InvalidCount(f"requested FAQ count must be >= 1, got {k}")
-    warning = None
-    if k > len(scored):
-        warning = PipelineWarning(
-            kind="OverRequest",
-            message=f"requested {k} FAQs but only {len(scored)} question-answer "
-            f"pairs could be generated from this document",
-        )
-    return scored[:k], warning
-
-
-def _sorted_warnings(warnings: list[PipelineWarning]) -> list[PipelineWarning]:
-    return sorted(
-        warnings,
-        key=lambda w: (w.chunk_index is None, w.chunk_index if w.chunk_index is not None else 0),
-    )
-
-
 def run(doc: SourceDocument, cfg: PipelineConfig) -> FaqResult:
     """Run the whole pipeline on *doc* and return the top-k ranked FAQs.
 
@@ -213,36 +183,34 @@ def run(doc: SourceDocument, cfg: PipelineConfig) -> FaqResult:
     chunks = build_chunks(doc, cfg.chunk_size_words)
     lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else default_lexicon()
 
-    outcomes: dict[int, ChunkOutcome] = {}
     if cfg.worker_count == 1 or len(chunks) == 1:
-        for chunk in chunks:
-            outcomes[chunk.index] = process_chunk(chunk, cfg, lexicon)
+        outcomes = [process_chunk(chunk, cfg, lexicon) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            futures = {
-                pool.submit(process_chunk, chunk, cfg, lexicon): chunk.index
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                outcomes[futures[future]] = future.result()
+            outcomes = list(pool.map(process_chunk, chunks, repeat(cfg), repeat(lexicon)))
 
     pairs: list[tuple[QaPair, Chunk]] = []
     warnings: list[PipelineWarning] = []
     per_chunk_domains: dict[int, str] = {}
-    for chunk in chunks:
-        outcome = outcomes[chunk.index]
+    for chunk, outcome in zip(chunks, outcomes):
         per_chunk_domains[chunk.index] = outcome.domain
         warnings.extend(outcome.warnings)
         pairs.extend((pair, chunk) for pair in outcome.pairs)
 
     ranked = rank(pairs)
-    top, over_request = compile_faqs(ranked, cfg.requested_faq_count)
-    if over_request is not None:
-        warnings.append(over_request)
+    k = cfg.requested_faq_count
+    if k > len(ranked):
+        warnings.append(
+            PipelineWarning(
+                kind="OverRequest",
+                message=f"requested {k} FAQs but only {len(ranked)} question-answer "
+                f"pairs could be generated from this document",
+            )
+        )
     return FaqResult(
         document_id=doc.id,
-        faqs=top,
+        faqs=ranked[:k],
         total_generated=len(ranked),
-        warnings=_sorted_warnings(warnings),
+        warnings=warnings,
         per_chunk_domains=per_chunk_domains,
     )

@@ -90,15 +90,45 @@ def _validate(records: Sequence[ReviewRecord]) -> None:
             )
 
 
-def _by_domain(records: Sequence[ReviewRecord]) -> dict[str, list[ReviewRecord]]:
+def _requested_groups(
+    records: Sequence[ReviewRecord], domains: Iterable[str] | None
+) -> dict[str, list[ReviewRecord]]:
+    """Validate *records* and group them per requested domain (default: every
+    domain present, in canonical order). A requested domain with no records
+    raises EmptyDomain."""
+    _validate(records)
     grouped: dict[str, list[ReviewRecord]] = {}
     for record in records:
         grouped.setdefault(record.domain, []).append(record)
-    return grouped
+    if domains is None:
+        return {domain: grouped[domain] for domain in DOMAINS if domain in grouped}
+    result: dict[str, list[ReviewRecord]] = {}
+    for domain in domains:
+        rows = grouped.get(parse_domain(domain))
+        if not rows:
+            raise EmptyDomain(f"no review records for domain {domain!r}")
+        result[domain] = rows
+    return result
 
 
-def _present_domains(grouped: dict[str, list[ReviewRecord]]) -> list[str]:
-    return [domain for domain in DOMAINS if domain in grouped]
+def _averages(rows: list[ReviewRecord]) -> tuple[int, ...]:
+    return tuple(
+        _round_half_away(Fraction(sum(r.scores[q] for r in rows), len(rows)))
+        for q in range(SCORE_COUNT)
+    )
+
+
+def _stddevs(rows: list[ReviewRecord]) -> tuple[float, ...]:
+    by_reviewer: dict[str, list[ReviewRecord]] = {}
+    for record in rows:
+        by_reviewer.setdefault(record.reviewer_id, []).append(record)
+    return tuple(
+        statistics.pstdev(
+            sum(r.scores[q] for r in reviewed) / len(reviewed)
+            for reviewed in by_reviewer.values()
+        )
+        for q in range(SCORE_COUNT)
+    )
 
 
 def domain_averages(
@@ -106,19 +136,8 @@ def domain_averages(
 ) -> dict[str, tuple[int, ...]]:
     """Mean of all scores per domain and test question, rounded half away
     from zero. Requesting a domain with no records raises EmptyDomain."""
-    _validate(records)
-    grouped = _by_domain(records)
-    requested = list(domains) if domains is not None else _present_domains(grouped)
-    result: dict[str, tuple[int, ...]] = {}
-    for domain in requested:
-        rows = grouped.get(parse_domain(domain))
-        if not rows:
-            raise EmptyDomain(f"no review records for domain {domain!r}")
-        result[domain] = tuple(
-            _round_half_away(Fraction(sum(r.scores[q] for r in rows), len(rows)))
-            for q in range(SCORE_COUNT)
-        )
-    return result
+    groups = _requested_groups(records, domains)
+    return {domain: _averages(rows) for domain, rows in groups.items()}
 
 
 def reviewer_stddevs(
@@ -129,41 +148,20 @@ def reviewer_stddevs(
     Each reviewer's scores are first averaged over every document of the
     domain they reviewed; the deviation is then taken across reviewers.
     """
-    _validate(records)
-    grouped = _by_domain(records)
-    requested = list(domains) if domains is not None else _present_domains(grouped)
-    result: dict[str, tuple[float, ...]] = {}
-    for domain in requested:
-        rows = grouped.get(parse_domain(domain))
-        if not rows:
-            raise EmptyDomain(f"no review records for domain {domain!r}")
-        by_reviewer: dict[str, list[ReviewRecord]] = {}
-        for record in rows:
-            by_reviewer.setdefault(record.reviewer_id, []).append(record)
-        deviations = []
-        for q in range(SCORE_COUNT):
-            averages = [
-                sum(r.scores[q] for r in reviewed) / len(reviewed)
-                for reviewed in by_reviewer.values()
-            ]
-            deviations.append(statistics.pstdev(averages))
-        result[domain] = tuple(deviations)
-    return result
+    groups = _requested_groups(records, domains)
+    return {domain: _stddevs(rows) for domain, rows in groups.items()}
 
 
 def aggregate(records: Sequence[ReviewRecord]) -> list[DomainAggregate]:
     """One aggregate per domain present, in canonical domain order."""
-    averages = domain_averages(records)
-    stddevs = reviewer_stddevs(records)
-    grouped = _by_domain(records)
     return [
         DomainAggregate(
             domain=domain,
-            doc_count=len({r.document_id for r in grouped[domain]}),
-            averages=averages[domain],
-            stddevs=stddevs[domain],
+            doc_count=len({r.document_id for r in rows}),
+            averages=_averages(rows),
+            stddevs=_stddevs(rows),
         )
-        for domain in _present_domains(grouped)
+        for domain, rows in _requested_groups(records, None).items()
     ]
 
 

@@ -14,6 +14,7 @@ codes. Malformed HTTP framing returns 400 and an invalid body 422, both with
 
 from __future__ import annotations
 
+import contextlib
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -92,11 +93,13 @@ def create_server(
 
 
 def serve_stub(host: str, port: int, lexicon: DomainLexicon | None = None) -> None:
-    """Run the stub backend on (host, port) until interrupted."""
-    server = create_server(host, port, lexicon)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    """Run the stub backend on (host, port) until interrupted.
+
+    The bound address (with the port the OS chose for port 0) is printed to
+    stdout only once the socket is bound.
+    """
+    with create_server(host, port, lexicon) as server:
+        bound_host, bound_port = server.server_address[:2]
+        print(f"stub backend listening on {bound_host}:{bound_port}", flush=True)
+        with contextlib.suppress(KeyboardInterrupt):
+            server.serve_forever()

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import csv
+import http.client
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import faqgen
 from faqgen.chunker import SourceDocument
 from faqgen.cli import run_cli
 from faqgen.pipeline import PipelineConfig, run as run_pipeline
@@ -196,6 +202,36 @@ class TestUsageErrors:
 
     def test_serve_stub_port_out_of_range(self, capsys):
         assert run_cli(["serve-stub", "--bind", "127.0.0.1:70000"], {}) == 2
+
+
+class TestServeStub:
+    def test_taken_port_prints_nothing_to_stdout(self, stub_server_url, capsys):
+        port = stub_server_url.rsplit(":", 1)[1]
+        assert run_cli(["serve-stub", "--bind", f"127.0.0.1:{port}"], {}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot bind" in captured.err
+
+    def test_port_zero_prints_the_bound_port(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(faqgen.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from faqgen.cli import main; main()",
+             "serve-stub", "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            host, _, port = line.split()[-1].rpartition(":")
+            assert line.startswith("stub backend listening on ")
+            assert host == "127.0.0.1" and int(port) > 0
+            conn = http.client.HTTPConnection("127.0.0.1", int(port), timeout=5)
+            conn.request("GET", "/v1/health")
+            assert json.load(conn.getresponse()) == {"status": "ok"}
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestDatasetCommands:

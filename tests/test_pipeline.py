@@ -6,16 +6,9 @@ import re
 import pytest
 
 from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, word_count
-from faqgen.domains import default_lexicon
+from faqgen.domains import DOMAINS, default_lexicon
 from faqgen.gateway import BackendEndpointSet
-from faqgen.pipeline import (
-    InvalidCount,
-    PipelineConfig,
-    PipelineWarning,
-    compile_faqs,
-    process_chunk,
-    run,
-)
+from faqgen.pipeline import PipelineConfig, process_chunk, run
 from faqgen.ranker import rank
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
@@ -42,7 +35,7 @@ class TestProcessChunk:
             "Dogs bark loudly.",
             "Birds fly south.",
         ]
-        assert outcome.domain in __import__("faqgen").DOMAINS
+        assert outcome.domain in DOMAINS
         assert outcome.warnings == []
 
     def test_single_sentence_chunk(self):
@@ -95,43 +88,6 @@ class TestProcessChunk:
         outcome = process_chunk(make_chunk(context), config, default_lexicon())
         assert outcome.domain == "Science and Technology"
         assert [w.kind for w in outcome.warnings] == ["ClassifierFallback"]
-
-
-class TestCompileFaqs:
-    def _ranked(self, n):
-        from test_ranker import make_chunk as ranker_chunk, make_pair
-
-        pairs = []
-        for i in range(n):
-            context = f"alpha bravo charlie token{i}"
-            pairs.append(
-                (make_pair(i, 0, f"What is token{i}?", "Alpha bravo charlie."), ranker_chunk(i, context))
-            )
-        return rank(pairs)
-
-    def test_truncates_to_k(self):
-        scored = self._ranked(5)
-        top, warning = compile_faqs(scored, 2)
-        assert [s.rank for s in top] == [1, 2]
-        assert warning is None
-
-    def test_over_request_warning_names_both_numbers(self):
-        scored = self._ranked(5)
-        top, warning = compile_faqs(scored, 10)
-        assert len(top) == 5
-        assert warning is not None
-        assert warning.kind == "OverRequest"
-        assert "10" in warning.message and "5" in warning.message
-
-    def test_k_equal_to_n_no_warning(self):
-        scored = self._ranked(3)
-        top, warning = compile_faqs(scored, 3)
-        assert len(top) == 3
-        assert warning is None
-
-    def test_zero_k_rejected(self):
-        with pytest.raises(InvalidCount):
-            compile_faqs([], 0)
 
 
 class TestRun:
@@ -190,16 +146,25 @@ class TestRun:
         with pytest.raises(EmptyDocument):
             run(SourceDocument.from_text("empty", "   "), stub_config())
 
-    def test_warnings_sorted_by_chunk_index(self):
-        warnings = [
-            PipelineWarning(kind="QuestionDropped", message="b", chunk_index=3),
-            PipelineWarning(kind="OverRequest", message="c", chunk_index=None),
-            PipelineWarning(kind="ChunkSkipped", message="a", chunk_index=1),
-        ]
-        from faqgen.pipeline import _sorted_warnings
-
-        ordered = _sorted_warnings(warnings)
-        assert [w.chunk_index for w in ordered] == [1, 3, None]
+    def test_warnings_in_chunk_order_with_over_request_last(
+        self, canned_backend, fixture_document_text
+    ):
+        url, _ = canned_backend({"/v1/domain": [(200, {"domain": "Nope"})]})
+        doc = SourceDocument.from_text("fixture", fixture_document_text)
+        config = stub_config(
+            chunk_size_words=5,
+            worker_count=8,
+            requested_faq_count=1000,
+            endpoints=BackendEndpointSet(domain_url=f"{url}/v1/domain", max_retries=0),
+        )
+        result = run(doc, config)
+        assert result.total_generated < 1000
+        *fallbacks, over_request = result.warnings
+        assert over_request.kind == "OverRequest"
+        assert {w.kind for w in fallbacks} == {"ClassifierFallback"}
+        chunk_count = len(build_chunks(doc, config.chunk_size_words))
+        assert chunk_count > 2
+        assert [w.chunk_index for w in fallbacks] == list(range(chunk_count))
 
 
 class TestSerialization:
