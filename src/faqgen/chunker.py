@@ -1,12 +1,17 @@
 """Sentence segmentation and word-count based chunking of plain-text documents.
 
-A document is split into sentences first, then sentences are packed into
-chunks: a chunk closes at the first sentence at which its cumulative word
-count reaches the target size, so chunks never cut a sentence in half.
+A document is split into sentences first. A sentence ends after '.', '!' or
+'?' when whitespace follows and the next non-whitespace character is an
+uppercase letter or a digit (or the text ends there), except at the period
+of a guarded abbreviation (``ABBREVIATIONS_V1``); sentences are the trimmed
+texts between those ends. The sentences are then packed into chunks: a chunk
+closes at the first sentence at which its cumulative word count reaches the
+target size, so chunks never cut a sentence in half.
 """
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 
@@ -20,6 +25,11 @@ ABBREVIATIONS_V1 = frozenset({"Mr.", "Mrs.", "Dr.", "e.g.", "i.e.", "etc.", "vs.
 # Sentence-ending punctuation: it closes a sentence in segmentation and every
 # completed answer ends with one of these.
 TERMINALS = ".!?"
+
+# A candidate sentence end: a terminal followed by whitespace. The lookahead
+# captures the next non-whitespace character ('' at the end of the text)
+# without consuming it, so adjacent terminals ("? .") are each candidates.
+_SENTENCE_END = re.compile(rf"[{re.escape(TERMINALS)}](?=\s+(\S?))")
 
 
 class EmptyDocument(ValueError):
@@ -44,16 +54,6 @@ class SourceDocument:
     @classmethod
     def from_text(cls, doc_id: str, raw_text: str) -> SourceDocument:
         return cls(id=doc_id, raw_text=raw_text, word_count=word_count(raw_text))
-
-
-@dataclass(frozen=True)
-class Sentence:
-    """One sentence of a document, with character offsets into the raw text."""
-
-    text: str
-    start_offset: int
-    end_offset: int
-    word_count: int
 
 
 @dataclass(frozen=True)
@@ -90,63 +90,35 @@ def word_tokens(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]
     return tokens
 
 
-def _guarded_abbreviation(text: str, dot_index: int) -> bool:
-    start = dot_index
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    token = text[start : dot_index + 1].lstrip(string.punctuation)
-    return token in ABBREVIATIONS_V1
+def _guarded_abbreviation(head: str) -> bool:
+    """Whether the last whitespace-delimited token of *head*, less leading
+    punctuation, is a guarded abbreviation."""
+    return head.rsplit(maxsplit=1)[-1].lstrip(string.punctuation) in ABBREVIATIONS_V1
 
 
-def segment_sentences(text: str) -> list[Sentence]:
-    """Split *text* into sentences.
+def segment_sentences(text: str) -> list[str]:
+    """Split *text* into trimmed sentence texts.
 
-    A sentence ends after '.', '!' or '?' when whitespace follows and the
-    next non-whitespace character is an uppercase letter or a digit (or the
-    text ends). A period closing a guarded abbreviation never splits. Text
-    with no qualifying terminator comes back as a single sentence; empty or
-    all-whitespace input yields an empty list.
+    Every '.', '!' or '?' followed by whitespace is a candidate end. It ends
+    a sentence when the next non-whitespace character is an uppercase letter
+    or a digit, or when only whitespace follows, unless it is the period of
+    a guarded abbreviation. Each piece between two ends is stripped of
+    whitespace and kept when non-empty, so text with no sentence end is one
+    sentence and empty or all-whitespace text is none.
     """
-    length = len(text)
-    ends: list[int] = []
-    for i, char in enumerate(text):
-        if char not in TERMINALS:
-            continue
-        j = i + 1
-        if j >= length or not text[j].isspace():
-            continue
-        k = j
-        while k < length and text[k].isspace():
-            k += 1
-        if k < length and not (text[k].isupper() or text[k].isdigit()):
-            continue
-        if char == "." and _guarded_abbreviation(text, i):
-            continue
-        ends.append(j)
-
-    sentences: list[Sentence] = []
-    cursor = 0
-    for boundary in [*ends, length]:
-        start = cursor
-        while start < boundary and text[start].isspace():
-            start += 1
-        if start == boundary:
-            cursor = boundary
-            continue
-        stop = boundary
-        while stop > start and text[stop - 1].isspace():
-            stop -= 1
-        raw = text[start:stop]
-        sentences.append(
-            Sentence(
-                text=raw,
-                start_offset=start,
-                end_offset=stop,
-                word_count=word_count(raw),
-            )
-        )
-        cursor = boundary
-    return sentences
+    ends = [0]
+    # The token a candidate closes starts after the previous candidate, so the
+    # guard reads only the text since then and segmentation stays linear.
+    previous = 0
+    for match in _SENTENCE_END.finditer(text):
+        following = match[1]
+        if (not following or following.isupper() or following.isdigit()) and not (
+            match[0] == "." and _guarded_abbreviation(text[previous : match.end()])
+        ):
+            ends.append(match.end())
+        previous = match.end()
+    pieces = (text[start:stop].strip() for start, stop in zip(ends, [*ends[1:], len(text)]))
+    return [piece for piece in pieces if piece]
 
 
 def build_chunks(doc: SourceDocument, m: int = DEFAULT_CHUNK_WORDS) -> list[Chunk]:
@@ -168,8 +140,8 @@ def build_chunks(doc: SourceDocument, m: int = DEFAULT_CHUNK_WORDS) -> list[Chun
     words = 0
     parts: list[str] = []
     for idx, sentence in enumerate(sentences):
-        parts.append(sentence.text)
-        words += sentence.word_count
+        parts.append(sentence)
+        words += word_count(sentence)
         if words >= m:
             chunks.append(
                 Chunk(

@@ -15,6 +15,7 @@ from typing import Mapping
 
 from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks
 from .datasets import (
+    DEFAULT_ROW_FLOOR,
     MalformedDataset,
     MissingCompleteAnswer,
     PipeInQuestion,
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     squad_group.add_argument("--squad", required=True, help="SQuAD v1.1 JSON file")
     squad_group.add_argument("--output-dir", required=True)
-    squad_group.add_argument("--floor", type=_positive_int, default=750,
+    squad_group.add_argument("--floor", type=_positive_int, default=DEFAULT_ROW_FLOOR,
                              help="minimum rows per domain before a shortfall is reported")
     squad_group.add_argument("--lexicon", help="alternative classifier lexicon file")
     squad_group.set_defaults(handler=_cmd_dataset_squad_group)

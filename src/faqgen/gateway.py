@@ -168,16 +168,16 @@ def _select_sentence(context: str, question_text: str) -> str:
     anchor = _anchor_token(question_text)
     if anchor is not None:
         for sentence in sentences:
-            if anchor in content_token_list(sentence.text):
-                return sentence.text
-    return sentences[0].text
+            if anchor in content_token_list(sentence):
+                return sentence
+    return sentences[0]
 
 
 def stub_question_texts(context: str, cap: int) -> list[str]:
     """One templated question per content-bearing sentence among the first *cap*."""
     texts: list[str] = []
     for sentence in segment_sentences(context)[:cap]:
-        tokens = content_token_list(sentence.text)
+        tokens = content_token_list(sentence)
         if not tokens:
             continue
         texts.append(QUESTION_TEMPLATE_V1.format(anchor=tokens[0]))

@@ -8,8 +8,9 @@ GET  /v1/health                                                             -> {
 
 Each POST is answered by the same stub handler the gateway calls in-process
 (``gateway.STUB_HANDLERS``); this module only routes, frames and sets status
-codes. Malformed HTTP framing returns 400 and an invalid body 422, both with
-{"error": s}. Responses are pure functions of the request bodies.
+codes. Malformed HTTP framing returns 400, a declared body longer than
+``MAX_BODY_BYTES`` 413 (the body is not read) and an invalid body 422, each
+with {"error": s}. Responses are pure functions of the request bodies.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .domains import DomainLexicon, default_lexicon
 from .gateway import STUB_HANDLERS, RequestRejected
 
 _ROUTES = {f"/v1/{step}": handler for step, handler in STUB_HANDLERS.items()}
+
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class BindFailure(OSError):
@@ -62,6 +65,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             self._send(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        if length > MAX_BODY_BYTES:
+            self._send(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
             return
         try:
             body = json.loads(self.rfile.read(length).decode("utf-8") or "null")

@@ -1,10 +1,11 @@
 """Independent reference implementations used to check derived values.
 
 Everything here is deliberately written from scratch (dict loops, manual
-character scans, Decimal arithmetic) so that it shares no code with the
-package under test. The stopword and punctuation sets are re-listed
-literally: they are part of the scoring contract, and duplicating them
-guards against accidental edits on either side.
+character scans, Decimal arithmetic, no ``re``) so that it shares no code
+with the package under test. The stopword, punctuation and abbreviation
+sets are re-listed literally: they are part of the scoring and segmentation
+contract, and duplicating them guards against accidental edits on either
+side.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ ORACLE_STOPWORDS = {
 
 ORACLE_PUNCT = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
+ORACLE_ABBREVIATIONS = {"Mr.", "Mrs.", "Dr.", "e.g.", "i.e.", "etc.", "vs."}
+
 
 def oracle_word_count(text: str) -> int:
     count = 0
@@ -34,6 +37,47 @@ def oracle_word_count(text: str) -> int:
             count += 1
             in_run = True
     return count
+
+
+def oracle_sentences(text: str) -> list[str]:
+    """Sentence texts by a forward character scan: a sentence ends after a
+    terminal followed by whitespace when the next non-whitespace character
+    is uppercase, a digit or the end of the text, unless the terminal is the
+    period of a guarded abbreviation."""
+    sentences = []
+    current = ""
+    for i, char in enumerate(text, start=1):
+        # i is the index just after char
+        current += char
+        if char not in ".!?" or i == len(text) or not text[i].isspace():
+            continue
+        k = i
+        while k < len(text) and text[k].isspace():
+            k += 1
+        if k < len(text) and not (text[k].isupper() or text[k].isdigit()):
+            continue
+        if char == ".":
+            start = len(current)
+            while start > 0 and not current[start - 1].isspace():
+                start -= 1
+            token = current[start:]
+            while token and token[0] in ORACLE_PUNCT:
+                token = token[1:]
+            if token in ORACLE_ABBREVIATIONS:
+                continue
+        sentences.append(current)
+        current = ""
+    sentences.append(current)
+    trimmed = []
+    for sentence in sentences:
+        start, stop = 0, len(sentence)
+        while start < stop and sentence[start].isspace():
+            start += 1
+        while stop > start and sentence[stop - 1].isspace():
+            stop -= 1
+        if start < stop:
+            trimmed.append(sentence[start:stop])
+    return trimmed
 
 
 def oracle_tokens(text: str) -> list[str]:

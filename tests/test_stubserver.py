@@ -18,7 +18,7 @@ from faqgen.gateway import (
     stub_question_texts,
 )
 from faqgen.pipeline import PipelineConfig, run
-from faqgen.stubserver import BindFailure, create_server
+from faqgen.stubserver import MAX_BODY_BYTES, BindFailure, create_server
 
 CONTEXT = "Cats sleep daily. Dogs bark loudly. Birds fly south."
 
@@ -130,19 +130,38 @@ class TestRoundTrip:
         assert remote == local
 
 
+def raw_post(url: str, head: str, body: str) -> tuple[bytes, dict]:
+    """Send *head* and *body* on one socket, left open until the server
+    closes it, and return the reply's status code and JSON body."""
+    host, port = url.removeprefix("http://").split(":")
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(f"{head}\r\n\r\n{body}".encode("ascii"))
+        while data := sock.recv(4096):
+            reply += data
+    status, _, payload = reply.partition(b"\r\n\r\n")
+    return status.split()[1], json.loads(payload)
+
+
 class TestFraming:
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_bad_content_length_400(self, stub_server_url, length):
-        host, port = stub_server_url.removeprefix("http://").split(":")
-        request = f"POST /v1/domain HTTP/1.0\r\nContent-Length: {length}\r\n\r\n{{}}"
-        reply = b""
-        with socket.create_connection((host, int(port)), timeout=5) as sock:
-            sock.sendall(request.encode("ascii"))
-            while data := sock.recv(4096):
-                reply += data
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.split()[1] == b"400"
-        assert "error" in json.loads(body)
+        status, payload = raw_post(
+            stub_server_url, f"POST /v1/domain HTTP/1.0\r\nContent-Length: {length}", "{}"
+        )
+        assert status == b"400"
+        assert "error" in payload
+
+    def test_oversized_content_length_413_without_reading_body(self, stub_server_url):
+        # Only two bytes of the declared body are ever sent: a server that
+        # tried to read it all would wait until the client timed out.
+        status, payload = raw_post(
+            stub_server_url,
+            f"POST /v1/domain HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}",
+            "{}",
+        )
+        assert status == b"413"
+        assert "error" in payload
 
 
 class TestOfflineEqualsHttp:
