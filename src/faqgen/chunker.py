@@ -6,7 +6,8 @@ uppercase letter or a digit (or the text ends there), except at the period
 of a guarded abbreviation (``ABBREVIATIONS_V1``); sentences are the trimmed
 texts between those ends. The sentences are then packed into chunks: a chunk
 closes at the first sentence at which its cumulative word count reaches the
-target size, so chunks never cut a sentence in half.
+target size, so chunks never cut a sentence in half. A chunk keeps its
+sentences, so the in-process steps never split its text again.
 """
 
 from __future__ import annotations
@@ -60,15 +61,21 @@ class SourceDocument:
 class Chunk:
     """A run of consecutive sentences totalling roughly the target word count.
 
-    ``context`` is the sentence texts joined by single spaces and is the unit
-    of text every downstream step works on. ``sentence_range`` is the
-    inclusive (first, last) index pair into the document's sentence list.
+    ``sentences`` are the document's sentence texts that fall in this chunk,
+    as ``segment_sentences`` found them; ``context``, their single-space
+    join, is the unit of text every downstream step works on.
     """
 
     index: int
-    context: str
-    sentence_range: tuple[int, int]
-    word_count: int
+    sentences: tuple[str, ...]
+
+    @property
+    def context(self) -> str:
+        return " ".join(self.sentences)
+
+    @property
+    def word_count(self) -> int:
+        return sum(word_count(sentence) for sentence in self.sentences)
 
 
 def word_count(text: str) -> int:
@@ -136,31 +143,15 @@ def build_chunks(doc: SourceDocument, m: int = DEFAULT_CHUNK_WORDS) -> list[Chun
         raise EmptyDocument(f"document {doc.id!r} contains no sentences")
 
     chunks: list[Chunk] = []
-    first = 0
     words = 0
     parts: list[str] = []
-    for idx, sentence in enumerate(sentences):
+    for sentence in sentences:
         parts.append(sentence)
         words += word_count(sentence)
         if words >= m:
-            chunks.append(
-                Chunk(
-                    index=len(chunks),
-                    context=" ".join(parts),
-                    sentence_range=(first, idx),
-                    word_count=words,
-                )
-            )
-            first = idx + 1
+            chunks.append(Chunk(index=len(chunks), sentences=tuple(parts)))
             words = 0
             parts = []
     if parts:
-        chunks.append(
-            Chunk(
-                index=len(chunks),
-                context=" ".join(parts),
-                sentence_range=(first, len(sentences) - 1),
-                word_count=words,
-            )
-        )
+        chunks.append(Chunk(index=len(chunks), sentences=tuple(parts)))
     return chunks

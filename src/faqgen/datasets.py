@@ -103,6 +103,8 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MalformedDataset("$", f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedDataset("$", "nested too deeply to parse") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("data"), list):
         raise MalformedDataset("data", "missing or not a list")
 

@@ -86,11 +86,6 @@ class DomainLexicon:
                     )
 
 
-def list_domains() -> list[str]:
-    """All 17 domain labels in canonical order."""
-    return list(DOMAINS)
-
-
 def parse_domain(name: str) -> str:
     """Validate *name* against the closed set and return it."""
     if name not in DOMAINS:

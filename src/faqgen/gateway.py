@@ -3,20 +3,22 @@
 Each step builds one request of the fixed JSON wire protocol. A remote HTTP
 backend answers it when the step has a URL; otherwise the built-in
 deterministic stub for that step does (``STUB_HANDLERS``, which the stub
-server also serves). Either way the reply is parsed and normalised by the
-same code, so offline and HTTP runs give the same results. Stub outputs are
-pure functions of their inputs so end-to-end runs are reproducible offline.
+server also serves). In-process a stub reads the chunk's sentences; over
+HTTP it splits the request's context, which gives the same sentences.
+Either way the reply is parsed and normalised by the same code, so offline
+and HTTP runs give the same results. Stub outputs are pure functions of
+their inputs so end-to-end runs are reproducible offline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import requests
 
-from .chunker import TERMINALS, segment_sentences, word_tokens
+from .chunker import TERMINALS, Chunk, segment_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
 from .ranker import content_token_list
 
@@ -131,7 +133,7 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
         if response.status_code != 200:
             try:
                 reply = response.json()
-            except ValueError:
+            except (ValueError, RecursionError):
                 reply = None
             detail = reply.get("error", "") if isinstance(reply, dict) else response.text[:200]
             raise RequestRejected(
@@ -139,7 +141,7 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
             )
         try:
             body = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             last_error = exc
             continue
         if not isinstance(body, dict):
@@ -159,12 +161,9 @@ def _anchor_token(question_text: str) -> str | None:
     return tokens[-1] if tokens else None
 
 
-def _select_sentence(context: str, question_text: str) -> str:
-    """The first context sentence containing the question's anchor token,
-    or the first sentence when nothing matches."""
-    sentences = segment_sentences(context)
-    if not sentences:
-        raise EmptyGeneration("context has no sentences")
+def _select_sentence(sentences: Sequence[str], question_text: str) -> str:
+    """The first sentence containing the question's anchor token, or the
+    first sentence when nothing matches."""
     anchor = _anchor_token(question_text)
     if anchor is not None:
         for sentence in sentences:
@@ -173,10 +172,10 @@ def _select_sentence(context: str, question_text: str) -> str:
     return sentences[0]
 
 
-def stub_question_texts(context: str, cap: int) -> list[str]:
+def stub_question_texts(sentences: Sequence[str], cap: int) -> list[str]:
     """One templated question per content-bearing sentence among the first *cap*."""
     texts: list[str] = []
-    for sentence in segment_sentences(context)[:cap]:
+    for sentence in sentences[:cap]:
         tokens = content_token_list(sentence)
         if not tokens:
             continue
@@ -184,9 +183,9 @@ def stub_question_texts(context: str, cap: int) -> list[str]:
     return texts
 
 
-def stub_answer_phrase(context: str, question_text: str) -> str:
+def stub_answer_phrase(sentences: Sequence[str], question_text: str) -> str:
     """First six content tokens of the sentence matching the question's anchor."""
-    sentence = _select_sentence(context, question_text)
+    sentence = _select_sentence(sentences, question_text)
     tokens = content_token_list(sentence)[:ANSWER_PHRASE_TOKEN_LIMIT]
     if not tokens:
         # stopword-only sentence: fall back to its plain tokens
@@ -196,9 +195,9 @@ def stub_answer_phrase(context: str, question_text: str) -> str:
     return " ".join(tokens)
 
 
-def stub_complete_answer(context: str, question_text: str) -> str:
+def stub_complete_answer(sentences: Sequence[str], question_text: str) -> str:
     """The full source sentence the phrase was drawn from, punctuation ensured."""
-    sentence = _select_sentence(context, question_text)
+    sentence = _select_sentence(sentences, question_text)
     if sentence[-1] not in TERMINALS:
         sentence += "."
     return sentence
@@ -206,8 +205,12 @@ def stub_complete_answer(context: str, question_text: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Stub handlers: one wire-protocol request body in, one reply body out.
+# In-process the gateway also passes the chunk's sentences; the stub server
+# passes None, and the handler splits the request's context itself.
 # Invalid requests raise RequestRejected, which the stub server sends as 422.
 # ---------------------------------------------------------------------------
+
+Sentences = Sequence[str] | None
 
 
 def _required_text(body: dict, key: str) -> str:
@@ -217,11 +220,16 @@ def _required_text(body: dict, key: str) -> str:
     return value
 
 
-def _domain_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+def _split(context: str, sentences: Sentences) -> Sequence[str]:
+    """The context's sentences: those given, else *context* split."""
+    return segment_sentences(context) if sentences is None else sentences
+
+
+def _domain_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
     return {"domain": classify(_required_text(body, "context"), lexicon)}
 
 
-def _questions_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+def _questions_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
     context = _required_text(body, "context")
     domain = body.get("domain", "")
     if domain not in DOMAINS:
@@ -229,28 +237,28 @@ def _questions_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
     cap = body.get("cap", DEFAULT_QUESTION_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise RequestRejected(f"cap must be an integer >= 1, got {cap!r}")
-    return {"questions": stub_question_texts(context, cap)}
+    return {"questions": stub_question_texts(_split(context, sentences), cap)}
 
 
-def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
     context = _required_text(body, "context")
     question = _required_text(body, "question")
     try:
-        return {"answer_phrase": stub_answer_phrase(context, question)}
+        return {"answer_phrase": stub_answer_phrase(_split(context, sentences), question)}
     except EmptyGeneration as exc:
         raise RequestRejected(str(exc)) from exc
 
 
-def _complete_answer_stub(body: dict, lexicon: DomainLexicon | None) -> dict:
+def _complete_answer_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
     context = _required_text(body, "context")
     question = _required_text(body, "question")
     _required_text(body, "answer_phrase")
-    return {"answer": stub_complete_answer(context, question)}
+    return {"answer": stub_complete_answer(_split(context, sentences), question)}
 
 
 # Keyed by step name: the stub server serves each at POST /v1/<step>, and a
 # step's URL field in BackendEndpointSet is <step>_url.
-STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None], dict]] = {
+STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None, Sentences], dict]] = {
     "domain": _domain_stub,
     "questions": _questions_stub,
     "answer_phrase": _answer_phrase_stub,
@@ -268,13 +276,15 @@ def _dispatch(
     request: dict,
     endpoints: BackendEndpointSet | None,
     lexicon: DomainLexicon | None = None,
+    sentences: Sentences = None,
 ) -> tuple[dict, str]:
     """The reply to *request* and who sent it: the step's remote backend when
-    it has a URL, else its built-in stub."""
+    it has a URL, else its built-in stub, which reads *sentences* as the
+    sentences of the request's context."""
     url = getattr(endpoints, f"{step}_url") if endpoints else None
     if url:
         return post_json(url, request, endpoints), url
-    return STUB_HANDLERS[step](request, lexicon), f"{step} stub"
+    return STUB_HANDLERS[step](request, lexicon, sentences), f"{step} stub"
 
 
 def _reply_text(reply: dict, key: str, source: str) -> str:
@@ -304,24 +314,23 @@ def identify_domain(
 
 
 def generate_questions(
-    context: str,
+    chunk: Chunk,
     domain: str,
-    chunk_index: int,
     cap: int = DEFAULT_QUESTION_CAP,
     endpoints: BackendEndpointSet | None = None,
 ) -> list[GeneratedQuestion]:
-    """Generate up to *cap* questions for *context*, conditioned on *domain*.
+    """Generate up to *cap* questions for *chunk*, conditioned on *domain*.
 
     The reply's texts are trimmed, blanks dropped, truncated to *cap*, given
     a '?' when they lack one, and exact duplicates dropped keeping the first
     occurrence. Raises :class:`EmptyGeneration` when nothing is left.
     """
-    if not context.strip():
+    if not chunk.context.strip():
         raise ValueError("context must be non-empty")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    request = {"context": context, "domain": domain, "cap": cap}
-    reply, source = _dispatch("questions", request, endpoints)
+    request = {"context": chunk.context, "domain": domain, "cap": cap}
+    reply, source = _dispatch("questions", request, endpoints, sentences=chunk.sentences)
     raw = reply.get("questions")
     if not isinstance(raw, list) or not all(isinstance(q, str) for q in raw):
         raise BackendUnavailable(f"{source} returned malformed questions body")
@@ -330,26 +339,26 @@ def generate_questions(
     if not texts:
         raise EmptyGeneration(f"{source} returned zero questions")
     return [
-        GeneratedQuestion(chunk_index=chunk_index, q_index=index, text=text)
+        GeneratedQuestion(chunk_index=chunk.index, q_index=index, text=text)
         for index, text in enumerate(texts)
     ]
 
 
 def extract_answer_phrase(
-    context: str,
+    chunk: Chunk,
     question: GeneratedQuestion,
     endpoints: BackendEndpointSet | None = None,
 ) -> AnswerPhrase:
-    """Extract the keyword/keyphrase answering *question* from *context*."""
-    if not context.strip():
+    """Extract the keyword/keyphrase answering *question* from *chunk*."""
+    if not chunk.context.strip():
         raise ValueError("context must be non-empty")
-    request = {"context": context, "question": question.text}
-    reply, source = _dispatch("answer_phrase", request, endpoints)
+    request = {"context": chunk.context, "question": question.text}
+    reply, source = _dispatch("answer_phrase", request, endpoints, sentences=chunk.sentences)
     return AnswerPhrase(text=_reply_text(reply, "answer_phrase", source))
 
 
 def complete_answer(
-    context: str,
+    chunk: Chunk,
     question: GeneratedQuestion,
     phrase: AnswerPhrase,
     endpoints: BackendEndpointSet | None = None,
@@ -358,8 +367,8 @@ def complete_answer(
     in terminal punctuation ('.' is added when the reply has none)."""
     if not phrase.text:
         raise ValueError("phrase must be non-empty")
-    request = {"context": context, "question": question.text, "answer_phrase": phrase.text}
-    reply, source = _dispatch("complete_answer", request, endpoints)
+    request = {"context": chunk.context, "question": question.text, "answer_phrase": phrase.text}
+    reply, source = _dispatch("complete_answer", request, endpoints, sentences=chunk.sentences)
     text = _reply_text(reply, "answer", source)
     if text[-1] not in TERMINALS:
         text += "."

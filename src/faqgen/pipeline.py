@@ -7,7 +7,6 @@ by chunk index before ranking, so output is identical for any worker count.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -27,10 +26,6 @@ from .gateway import (
 from .ranker import QaPair, ScoredFaq, rank
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
     """Everything a pipeline run needs besides the document itself."""
@@ -39,7 +34,7 @@ class PipelineConfig:
     question_cap: int = DEFAULT_QUESTION_CAP
     endpoints: BackendEndpointSet = field(default_factory=BackendEndpointSet)
     lexicon_path: str | Path | None = None
-    worker_count: int = field(default_factory=_default_workers)
+    worker_count: int = 1
     requested_faq_count: int = 5
 
     def __post_init__(self) -> None:
@@ -142,9 +137,7 @@ def process_chunk(
         )
 
     try:
-        questions = generate_questions(
-            chunk.context, domain, chunk.index, cfg.question_cap, cfg.endpoints
-        )
+        questions = generate_questions(chunk, domain, cfg.question_cap, cfg.endpoints)
     except GatewayError as exc:
         warnings.append(
             PipelineWarning(
@@ -158,8 +151,8 @@ def process_chunk(
     pairs: list[QaPair] = []
     for question in questions:
         try:
-            phrase = extract_answer_phrase(chunk.context, question, cfg.endpoints)
-            answer = complete_answer(chunk.context, question, phrase, cfg.endpoints)
+            phrase = extract_answer_phrase(chunk, question, cfg.endpoints)
+            answer = complete_answer(chunk, question, phrase, cfg.endpoints)
         except GatewayError as exc:
             warnings.append(
                 PipelineWarning(

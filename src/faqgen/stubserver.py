@@ -7,8 +7,9 @@ POST /v1/complete_answer  {"context": s, "question": s, "answer_phrase": s} -> {
 GET  /v1/health                                                             -> {"status": "ok"}
 
 Each POST is answered by the same stub handler the gateway calls in-process
-(``gateway.STUB_HANDLERS``); this module only routes, frames and sets status
-codes. Malformed HTTP framing returns 400, a declared body longer than
+(``gateway.STUB_HANDLERS``), which splits the request's context into the
+sentences the in-process stub reads from its chunk; this module only routes,
+frames and sets status codes. Malformed HTTP framing returns 400, a declared body longer than
 ``MAX_BODY_BYTES`` 413 (the body is not read) and an invalid body 422, each
 with {"error": s}. Responses are pure functions of the request bodies.
 """
@@ -71,14 +72,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         try:
             body = json.loads(self.rfile.read(length).decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
             self._send(422, {"error": "request body is not valid JSON"})
             return
         if not isinstance(body, dict):
             self._send(422, {"error": "request body must be a JSON object"})
             return
         try:
-            self._send(200, handler(body, self.server.lexicon))
+            self._send(200, handler(body, self.server.lexicon, None))
         except RequestRejected as exc:
             self._send(422, {"error": str(exc)})
 

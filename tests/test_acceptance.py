@@ -15,7 +15,7 @@ from pathlib import Path
 
 import requests
 
-from faqgen.chunker import Chunk, SourceDocument, build_chunks, word_count
+from faqgen.chunker import Chunk, SourceDocument, build_chunks, segment_sentences
 from faqgen.datasets import (
     AE_HEADER,
     build_ae_dataset,
@@ -119,10 +119,7 @@ def test_ranking_oracle_equivalence():
             phrase=AnswerPhrase(text="x"),
             answer=CompletedAnswer(text=answer),
         )
-        chunk = Chunk(
-            index=chunk_index, context=context, sentence_range=(0, 0),
-            word_count=word_count(context),
-        )
+        chunk = Chunk(index=chunk_index, sentences=tuple(segment_sentences(context)))
         pairs.append((pair, chunk))
         oracle_items.append((qa_text, context, chunk_index, i))
 
@@ -223,13 +220,13 @@ def test_protocol_round_trip(stub_server_url):
         elif path == "/v1/questions":
             cap = rng.randint(1, 7)
             body = {"context": context, "domain": rng.choice(DOMAINS), "cap": cap}
-            expected = {"questions": stub_question_texts(context, cap)}
+            expected = {"questions": stub_question_texts(segment_sentences(context), cap)}
         elif path == "/v1/answer_phrase":
             body = {"context": context, "question": question}
-            expected = {"answer_phrase": stub_answer_phrase(context, question)}
+            expected = {"answer_phrase": stub_answer_phrase(segment_sentences(context), question)}
         else:
             body = {"context": context, "question": question, "answer_phrase": "x"}
-            expected = {"answer": stub_complete_answer(context, question)}
+            expected = {"answer": stub_complete_answer(segment_sentences(context), question)}
         response = requests.post(f"{stub_server_url}{path}", json=body, timeout=5)
         assert response.status_code == 200, (path, response.text)
         assert response.json() == expected, path
@@ -346,5 +343,6 @@ def test_stub_question_cap():
             words = [VOCAB[(trial + s) % len(VOCAB)]] + rng.choices(VOCAB, k=rng.randint(2, 8))
             sentences.append(" ".join(words).capitalize() + ".")
         context = " ".join(sentences)
-        questions = generate_questions(context, "Gaming", chunk_index=trial)
+        chunk = Chunk(index=trial, sentences=tuple(segment_sentences(context)))
+        questions = generate_questions(chunk, "Gaming")
         assert len(questions) == 5, f"trial {trial}: got {len(questions)}"

@@ -167,30 +167,31 @@ class TestBuildChunks:
     @settings(max_examples=60)
     def test_partition_and_minimality(self, text, m):
         doc = SourceDocument.from_text("d", text)
-        sentences = segment_sentences(text)
         chunks = build_chunks(doc, m)
 
-        # partition: ranges tile the sentence list exactly once, in order
-        expected_start = 0
         for chunk in chunks:
-            first, last = chunk.sentence_range
-            assert first == expected_start
-            assert last >= first
-            expected_start = last + 1
-            joined = " ".join(sentences[first : last + 1])
-            assert chunk.context == joined
+            assert chunk.sentences
             assert chunk.word_count == word_count(chunk.context)
-        assert expected_start == len(sentences)
 
         # minimal closing sentence for every non-final chunk
         for chunk in chunks[:-1]:
             assert chunk.word_count >= m
-            last_sentence = sentences[chunk.sentence_range[1]]
-            assert chunk.word_count - word_count(last_sentence) < m
+            assert chunk.word_count - word_count(chunk.sentences[-1]) < m
 
         # determinism
         again = build_chunks(doc, m)
         assert again == chunks
+
+    @given(_sentence_texts(), st.sampled_from([1, 2, 3, 5, 40]))
+    @settings(max_examples=200)
+    def test_chunk_sentences_tile_and_resegment(self, text, m):
+        # A chunk's context splits back into exactly its sentences, so a stub
+        # reading them sees what the stub server finds in the context; and
+        # the chunks' sentences, in order, are the document's sentences.
+        chunks = build_chunks(SourceDocument.from_text("d", text), m)
+        for chunk in chunks:
+            assert segment_sentences(chunk.context) == list(chunk.sentences)
+        assert [s for chunk in chunks for s in chunk.sentences] == segment_sentences(text)
 
     @given(_sentence_texts(), st.integers(min_value=1, max_value=50))
     @settings(max_examples=40)

@@ -235,6 +235,17 @@ class TestServeStub:
 
 
 class TestDatasetCommands:
+    def test_build_ae_deeply_nested_squad_exits_1(self, tmp_path, capsys):
+        squad = tmp_path / "nested.json"
+        squad.write_text("[" * 200_000, encoding="utf-8")
+        code = run_cli(
+            ["dataset", "build-ae", "--squad", str(squad),
+             "--output", str(tmp_path / "ae.csv")],
+            {},
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: $: ")
+
     def test_squad_group_writes_tables_and_shortfalls(self, tmp_path, capsys):
         squad = squad_file(tmp_path)
         out_dir = tmp_path / "tables"

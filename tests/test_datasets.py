@@ -111,6 +111,11 @@ class TestParseSquad:
         with pytest.raises(MalformedDataset):
             parse_squad(b"{nope")
 
+    def test_deeply_nested_json_is_malformed_at_root(self):
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(b"[" * 200_000)
+        assert excinfo.value.path == "$"
+
     def test_missing_paragraphs(self):
         with pytest.raises(MalformedDataset) as excinfo:
             parse_squad(b'{"data": [{"title": "x"}]}')

@@ -13,7 +13,6 @@ from faqgen.domains import (
     classify,
     default_lexicon,
     lexicon_hits,
-    list_domains,
     load_lexicon,
     parse_domain,
 )
@@ -22,15 +21,14 @@ from oracles import oracle_lexicon_hits
 
 class TestDomainSet:
     def test_seventeen_domains(self):
-        assert len(list_domains()) == 17
+        assert len(DOMAINS) == 17
 
     def test_first_and_last(self):
-        domains = list_domains()
-        assert domains[0] == "Arts and Culture"
-        assert domains[-1] == "Youth and Student Life"
+        assert DOMAINS[0] == "Arts and Culture"
+        assert DOMAINS[-1] == "Youth and Student Life"
 
     def test_canonical_order_is_alphabetical(self):
-        assert list_domains() == sorted(list_domains())
+        assert list(DOMAINS) == sorted(DOMAINS)
 
     def test_parse_domain_rejects_unknown(self):
         with pytest.raises(InvalidDomain):

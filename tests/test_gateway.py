@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from faqgen.chunker import Chunk, segment_sentences
 from faqgen.gateway import (
     AnswerPhrase,
     BackendEndpointSet,
@@ -33,6 +34,10 @@ MARKET_RESEARCH_ANSWER = (
 )
 
 
+def chunk_of(context: str, index: int = 0) -> Chunk:
+    return Chunk(index=index, sentences=tuple(segment_sentences(context)))
+
+
 def dead_endpoints(**kwargs) -> BackendEndpointSet:
     # 127.0.0.1:9 is reliably refused
     return BackendEndpointSet(max_retries=0, timeout_ms=500, **kwargs)
@@ -40,7 +45,7 @@ def dead_endpoints(**kwargs) -> BackendEndpointSet:
 
 class TestStubQuestions:
     def test_three_sentence_fixture(self):
-        questions = generate_questions(THREE_SENTENCES, "Diaries and Daily Life", 0)
+        questions = generate_questions(chunk_of(THREE_SENTENCES), "Diaries and Daily Life")
         assert [q.text for q in questions] == [
             "What does the passage state about cats?",
             "What does the passage state about dogs?",
@@ -50,7 +55,7 @@ class TestStubQuestions:
 
     def test_cap_saturation(self):
         context = " ".join(f"Topic{i} is sentence number {i} here." for i in range(8))
-        questions = generate_questions(context, "Gaming", 4, cap=5)
+        questions = generate_questions(chunk_of(context, 4), "Gaming", cap=5)
         assert len(questions) == 5
 
     @pytest.mark.parametrize("over_http", [False, True])
@@ -61,7 +66,9 @@ class TestStubQuestions:
             questions_url=f"{stub_server_url}/v1/questions" if over_http else None,
             max_retries=0,
         )
-        questions = generate_questions(context, "Gaming", 4, cap=5, endpoints=endpoints)
+        questions = generate_questions(
+            chunk_of(context, 4), "Gaming", cap=5, endpoints=endpoints
+        )
         assert [q.text for q in questions] == ["What does the passage state about sentence?"]
 
     @pytest.mark.parametrize("over_http", [False, True])
@@ -71,24 +78,24 @@ class TestStubQuestions:
             max_retries=0,
         )
         with pytest.raises(RequestRejected, match="unknown domain"):
-            generate_questions(THREE_SENTENCES, "Astrology", 0, endpoints=endpoints)
+            generate_questions(chunk_of(THREE_SENTENCES), "Astrology", endpoints=endpoints)
 
     def test_skips_content_free_sentences(self):
         context = "It is. Dogs bark loudly."
-        texts = stub_question_texts(context, 5)
+        texts = stub_question_texts(segment_sentences(context), 5)
         assert texts == ["What does the passage state about dogs?"]
 
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
-            generate_questions(THREE_SENTENCES, "Gaming", 0, cap=0)
+            generate_questions(chunk_of(THREE_SENTENCES), "Gaming", cap=0)
 
     def test_blank_context_rejected(self):
         with pytest.raises(ValueError):
-            generate_questions("  ", "Gaming", 0)
+            generate_questions(chunk_of("  "), "Gaming")
 
     def test_pure_function(self):
-        first = stub_question_texts(THREE_SENTENCES, 5)
-        second = stub_question_texts(THREE_SENTENCES, 5)
+        first = stub_question_texts(segment_sentences(THREE_SENTENCES), 5)
+        second = stub_question_texts(segment_sentences(THREE_SENTENCES), 5)
         assert first == second
 
 
@@ -99,27 +106,31 @@ class TestStubAnswerPhrase:
             chunk_index=0, q_index=0,
             text="What does the passage state about entanglement?",
         )
-        phrase = extract_answer_phrase(context, question)
+        phrase = extract_answer_phrase(chunk_of(context), question)
         assert phrase.text == "entanglement describes peculiar connection between particles"
 
     def test_anchor_missing_falls_back_to_first_sentence(self):
         question = GeneratedQuestion(
             chunk_index=0, q_index=0, text="What does the passage state about zebras?"
         )
-        phrase = extract_answer_phrase(THREE_SENTENCES, question)
+        phrase = extract_answer_phrase(chunk_of(THREE_SENTENCES), question)
         assert phrase.text == "cats sleep daily"
 
     def test_phrase_capped_at_six_tokens(self):
         context = (
             "Gardens bloom yearly with roses tulips daisies lilies orchids and ferns."
         )
-        text = stub_answer_phrase(context, "What does the passage state about gardens?")
+        text = stub_answer_phrase(
+            segment_sentences(context), "What does the passage state about gardens?"
+        )
         assert len(text.split()) == 6
 
     def test_stopword_only_sentence_uses_plain_tokens(self):
         context = "It is. Dogs bark loudly."
         # anchor absent everywhere -> first sentence, which has no content tokens
-        text = stub_answer_phrase(context, "What does the passage state about zebras?")
+        text = stub_answer_phrase(
+            segment_sentences(context), "What does the passage state about zebras?"
+        )
         assert text == "it is"
 
 
@@ -129,17 +140,19 @@ class TestStubCompleteAnswer:
             chunk_index=0, q_index=1, text="What does the passage state about dogs?"
         )
         phrase = AnswerPhrase(text="dogs bark loudly")
-        answer = complete_answer(THREE_SENTENCES, question, phrase)
+        answer = complete_answer(chunk_of(THREE_SENTENCES), question, phrase)
         assert answer.text == "Dogs bark loudly."
 
     def test_appends_missing_terminal_punctuation(self):
         context = "Dogs bark loudly"
-        text = stub_complete_answer(context, "What does the passage state about dogs?")
+        text = stub_complete_answer(
+            segment_sentences(context), "What does the passage state about dogs?"
+        )
         assert text == "Dogs bark loudly."
 
     def test_stub_answers_are_verbatim_sentences(self):
-        for question_text in stub_question_texts(THREE_SENTENCES, 5):
-            answer = stub_complete_answer(THREE_SENTENCES, question_text)
+        for question_text in stub_question_texts(segment_sentences(THREE_SENTENCES), 5):
+            answer = stub_complete_answer(segment_sentences(THREE_SENTENCES), question_text)
             assert answer in THREE_SENTENCES
 
 
@@ -163,7 +176,9 @@ class TestRemoteQuestions:
             {"/v1/questions": [(200, {"questions": ["Q1?", "Q1?", "Q2?"]})]}
         )
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=0)
-        questions = generate_questions("Some context here.", "Gaming", 0, endpoints=endpoints)
+        questions = generate_questions(
+            chunk_of("Some context here."), "Gaming", endpoints=endpoints
+        )
         assert [q.text for q in questions] == ["Q1?", "Q2?"]
         assert [q.q_index for q in questions] == [0, 1]
 
@@ -173,7 +188,7 @@ class TestRemoteQuestions:
         )
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=0)
         questions = generate_questions(
-            "Some context here.", "Gaming", 0, cap=2, endpoints=endpoints
+            chunk_of("Some context here."), "Gaming", cap=2, endpoints=endpoints
         )
         assert [q.text for q in questions] == ["A?", "B?"]
 
@@ -182,19 +197,19 @@ class TestRemoteQuestions:
             {"/v1/questions": [(200, {"questions": ["Where is the stadium"]})]}
         )
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=0)
-        questions = generate_questions("Some context.", "Sports", 0, endpoints=endpoints)
+        questions = generate_questions(chunk_of("Some context."), "Sports", endpoints=endpoints)
         assert questions[0].text == "Where is the stadium?"
 
     def test_zero_questions_is_empty_generation(self, canned_backend):
         url, _ = canned_backend({"/v1/questions": [(200, {"questions": []})]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=0)
         with pytest.raises(EmptyGeneration):
-            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
 
     def test_request_carries_context_domain_cap(self, canned_backend):
         url, server = canned_backend({"/v1/questions": [(200, {"questions": ["Q?"]})]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=0)
-        generate_questions("Ctx sentence.", "Music", 3, cap=2, endpoints=endpoints)
+        generate_questions(chunk_of("Ctx sentence.", 3), "Music", cap=2, endpoints=endpoints)
         assert server.requests == [
             ("/v1/questions", {"context": "Ctx sentence.", "domain": "Music", "cap": 2})
         ]
@@ -202,7 +217,7 @@ class TestRemoteQuestions:
     def test_connection_refused_backend_unavailable(self):
         endpoints = dead_endpoints(questions_url="http://127.0.0.1:9/v1/questions")
         with pytest.raises(BackendUnavailable):
-            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
 
     def test_retry_recovers_after_transient_500(self, canned_backend):
         url, server = canned_backend(
@@ -214,7 +229,7 @@ class TestRemoteQuestions:
             }
         )
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=1)
-        questions = generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+        questions = generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
         assert [q.text for q in questions] == ["Recovered?"]
         assert server.hits["/v1/questions"] == 2
 
@@ -222,28 +237,42 @@ class TestRemoteQuestions:
         url, server = canned_backend({"/v1/questions": [(500, {"error": "down"})]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=1)
         with pytest.raises(BackendUnavailable):
-            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
         assert server.hits["/v1/questions"] == 2
 
     def test_422_is_rejected_without_retry(self, canned_backend):
         url, server = canned_backend({"/v1/questions": [(422, {"error": "bad"})]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=3)
         with pytest.raises(RequestRejected):
-            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
         assert server.hits["/v1/questions"] == 1
 
     def test_non_object_4xx_body_is_rejected(self, canned_backend):
         url, server = canned_backend({"/v1/questions": [(400, [1, 2])]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=3)
         with pytest.raises(RequestRejected, match=r"HTTP 400 \[1, 2\]"):
-            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
+        assert server.hits["/v1/questions"] == 1
+
+    def test_deeply_nested_body_is_retried_then_unavailable(self, canned_backend):
+        url, server = canned_backend({"/v1/questions": [(200, "[" * 200_000)]})
+        endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=1)
+        with pytest.raises(BackendUnavailable):
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
+        assert server.hits["/v1/questions"] == 2
+
+    def test_deeply_nested_4xx_body_keeps_text_detail(self, canned_backend):
+        url, server = canned_backend({"/v1/questions": [(400, "[" * 200_000)]})
+        endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=3)
+        with pytest.raises(RequestRejected, match=r"HTTP 400 \[\[\["):
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
         assert server.hits["/v1/questions"] == 1
 
     def test_malformed_body_is_unavailable(self, canned_backend):
         url, _ = canned_backend({"/v1/questions": [(200, {"nope": 1})]})
         endpoints = BackendEndpointSet(questions_url=f"{url}/v1/questions", max_retries=0)
         with pytest.raises(BackendUnavailable):
-            generate_questions("Some context.", "Gaming", 0, endpoints=endpoints)
+            generate_questions(chunk_of("Some context."), "Gaming", endpoints=endpoints)
 
 
 class TestRemoteAnswerPhrase:
@@ -255,7 +284,7 @@ class TestRemoteAnswerPhrase:
             answer_phrase_url=f"{url}/v1/answer_phrase", max_retries=0
         )
         question = GeneratedQuestion(chunk_index=0, q_index=0, text="What caused it?")
-        phrase = extract_answer_phrase("A context sentence.", question, endpoints)
+        phrase = extract_answer_phrase(chunk_of("A context sentence."), question, endpoints)
         assert phrase.text == "tensions between states"
 
     def test_blank_phrase_is_empty_generation(self, canned_backend):
@@ -265,7 +294,7 @@ class TestRemoteAnswerPhrase:
         )
         question = GeneratedQuestion(chunk_index=0, q_index=0, text="What caused it?")
         with pytest.raises(EmptyGeneration):
-            extract_answer_phrase("A context sentence.", question, endpoints)
+            extract_answer_phrase(chunk_of("A context sentence."), question, endpoints)
 
 
 class TestRemoteCompleteAnswer:
@@ -278,7 +307,7 @@ class TestRemoteCompleteAnswer:
         )
         question = GeneratedQuestion(chunk_index=0, q_index=0, text=MARKET_RESEARCH_QUESTION)
         phrase = AnswerPhrase(text=MARKET_RESEARCH_PHRASE)
-        answer = complete_answer(MARKET_RESEARCH_CONTEXT, question, phrase, endpoints)
+        answer = complete_answer(chunk_of(MARKET_RESEARCH_CONTEXT), question, phrase, endpoints)
         assert answer.text == MARKET_RESEARCH_ANSWER
         assert server.requests[0][1] == {
             "context": MARKET_RESEARCH_CONTEXT,
@@ -294,5 +323,5 @@ class TestRemoteCompleteAnswer:
             complete_answer_url=f"{url}/v1/complete_answer", max_retries=0
         )
         question = GeneratedQuestion(chunk_index=0, q_index=0, text="What is it?")
-        answer = complete_answer("Ctx.", question, AnswerPhrase(text="x"), endpoints)
+        answer = complete_answer(chunk_of("Ctx."), question, AnswerPhrase(text="x"), endpoints)
         assert answer.text == "An unterminated reply."

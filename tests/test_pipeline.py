@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, word_count
+import faqgen.chunker
+import faqgen.gateway
+from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, segment_sentences
 from faqgen.domains import DOMAINS, default_lexicon
 from faqgen.gateway import BackendEndpointSet
 from faqgen.pipeline import PipelineConfig, process_chunk, run
@@ -21,9 +23,7 @@ def stub_config(**kwargs) -> PipelineConfig:
 
 
 def make_chunk(context: str, index: int = 0) -> Chunk:
-    return Chunk(
-        index=index, context=context, sentence_range=(0, 0), word_count=word_count(context)
-    )
+    return Chunk(index=index, sentences=tuple(segment_sentences(context)))
 
 
 class TestProcessChunk:
@@ -114,6 +114,21 @@ class TestRun:
         over = [w for w in result.warnings if w.kind == "OverRequest"]
         assert len(over) == 1
         assert "100" in over[0].message and "6" in over[0].message
+
+    def test_document_is_segmented_once(self, fixture_document_text, monkeypatch):
+        calls = []
+        original = faqgen.chunker.segment_sentences
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(faqgen.chunker, "segment_sentences", counted)
+        monkeypatch.setattr(faqgen.gateway, "segment_sentences", counted)
+        doc = SourceDocument.from_text("fixture", fixture_document_text)
+        result = run(doc, stub_config())
+        assert result.total_generated > 0
+        assert calls == [fixture_document_text]
 
     def test_worker_count_does_not_change_output(self, fixture_document_text):
         doc = SourceDocument.from_text("fixture", fixture_document_text)

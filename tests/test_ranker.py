@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faqgen.chunker import Chunk, word_count
+from faqgen.chunker import Chunk, segment_sentences
 from faqgen.gateway import AnswerPhrase, CompletedAnswer, GeneratedQuestion
 from faqgen.ranker import (
     STOPWORDS_V1,
@@ -43,9 +43,7 @@ def make_pair(chunk_index: int, q_index: int, question: str, answer: str) -> QaP
 
 
 def make_chunk(index: int, context: str) -> Chunk:
-    return Chunk(
-        index=index, context=context, sentence_range=(0, 0), word_count=word_count(context)
-    )
+    return Chunk(index=index, sentences=tuple(segment_sentences(context)))
 
 
 class TestContentTokens:

@@ -8,7 +8,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faqgen.chunker import SourceDocument
+from faqgen.chunker import Chunk, SourceDocument, segment_sentences
 from faqgen.domains import classify, default_lexicon
 from faqgen.gateway import (
     BackendEndpointSet,
@@ -53,6 +53,14 @@ class TestHealthAndRouting:
         )
         assert response.status_code == 422
         assert "error" in response.json()
+
+    def test_deeply_nested_json_422(self, stub_server_url):
+        response = requests.post(
+            f"{stub_server_url}/v1/domain", data=b"[" * 200_000, timeout=5
+        )
+        assert response.status_code == 422
+        assert "error" in response.json()
+        assert requests.get(f"{stub_server_url}/v1/health", timeout=5).status_code == 200
 
 
 class TestValidation:
@@ -99,7 +107,9 @@ class TestRoundTrip:
             {"context": CONTEXT, "domain": "Diaries and Daily Life", "cap": 5},
         )
         assert response.status_code == 200
-        assert response.json() == {"questions": stub_question_texts(CONTEXT, 5)}
+        assert response.json() == {
+            "questions": stub_question_texts(segment_sentences(CONTEXT), 5)
+        }
 
     def test_domain_matches_lexicon_classifier(self, stub_server_url):
         context = "The quantum experiment used new laboratory technology."
@@ -112,21 +122,24 @@ class TestRoundTrip:
             stub_server_url, "/v1/answer_phrase", {"context": CONTEXT, "question": question}
         )
         assert phrase.json() == {
-            "answer_phrase": stub_answer_phrase(CONTEXT, question)
+            "answer_phrase": stub_answer_phrase(segment_sentences(CONTEXT), question)
         }
         answer = post(
             stub_server_url,
             "/v1/complete_answer",
             {"context": CONTEXT, "question": question, "answer_phrase": phrase.json()["answer_phrase"]},
         )
-        assert answer.json() == {"answer": stub_complete_answer(CONTEXT, question)}
+        assert answer.json() == {
+            "answer": stub_complete_answer(segment_sentences(CONTEXT), question)
+        }
 
     def test_gateway_client_against_stub_server_equals_in_process(self, stub_server_url):
         endpoints = BackendEndpointSet(
             questions_url=f"{stub_server_url}/v1/questions", max_retries=0
         )
-        remote = generate_questions(CONTEXT, "Diaries and Daily Life", 7, endpoints=endpoints)
-        local = generate_questions(CONTEXT, "Diaries and Daily Life", 7)
+        chunk = Chunk(index=7, sentences=tuple(segment_sentences(CONTEXT)))
+        remote = generate_questions(chunk, "Diaries and Daily Life", endpoints=endpoints)
+        local = generate_questions(chunk, "Diaries and Daily Life")
         assert remote == local
 
 
