@@ -36,7 +36,7 @@ from .domains import (
     load_lexicon,
 )
 from .gateway import BackendEndpointSet, GatewayError
-from .pipeline import PipelineConfig, run
+from .pipeline import PipelineConfig, PipelineWarning, chunk_domain, config_lexicon, run
 from .reviews import (
     DuplicateReview,
     EmptyDomain,
@@ -130,28 +130,33 @@ def _config_values(config_flag: str | None, environment: Mapping[str, str]) -> d
     return values
 
 
-def _pipeline_config(args: argparse.Namespace, environment: Mapping[str, str]) -> PipelineConfig:
-    values = _config_values(args.config, environment)
-    if args.workers is not None:
-        values["workers"] = args.workers
+def _pipeline_config(values: dict, **flags) -> PipelineConfig:
+    """The pipeline settings of config-file *values*; each flag given (not
+    None) overrides the setting it names."""
     # Unset keys keep the library defaults; an empty string means "none",
     # which is the default of every string key.
     kwargs = {key: value for key, value in values.items() if value != ""}
     endpoint_kwargs = {key: kwargs.pop(key) for key in _ENDPOINT_KEYS & kwargs.keys()}
     if "workers" in kwargs:
         kwargs["worker_count"] = kwargs.pop("workers")
+    kwargs.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        return PipelineConfig(
-            endpoints=BackendEndpointSet(**endpoint_kwargs),
-            requested_faq_count=args.count,
-            **kwargs,
-        )
+        return PipelineConfig(endpoints=BackendEndpointSet(**endpoint_kwargs), **kwargs)
     except ValueError as exc:
         raise UsageError(f"invalid config: {exc}") from None
 
 
+def _print_warnings(warnings: list[PipelineWarning]) -> None:
+    for warning in warnings:
+        print(f"warning [{warning.kind}] {warning.message}", file=sys.stderr)
+
+
 def _cmd_generate(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    config = _pipeline_config(args, environment)
+    config = _pipeline_config(
+        _config_values(args.config, environment),
+        requested_faq_count=args.count,
+        worker_count=args.workers,
+    )
     document = _read_document(args.input)
     result = run(document, config)
     payload = result.to_json()
@@ -159,8 +164,7 @@ def _cmd_generate(args: argparse.Namespace, environment: Mapping[str, str]) -> i
         Path(args.output).write_text(payload, encoding="utf-8")
     else:
         print(payload)
-    for warning in result.warnings:
-        print(f"warning [{warning.kind}] {warning.message}", file=sys.stderr)
+    _print_warnings(result.warnings)
     return 0
 
 
@@ -173,10 +177,15 @@ def _cmd_chunk(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
+    config = _pipeline_config(
+        _config_values(args.config, environment), chunk_size_words=args.size
+    )
     document = _read_document(args.input)
-    lexicon = default_lexicon()
-    for chunk in build_chunks(document, args.size):
-        print(f"{chunk.index}\t{classify(chunk.context, lexicon)}")
+    lexicon = config_lexicon(config)
+    for chunk in build_chunks(document, config.chunk_size_words):
+        domain, warnings = chunk_domain(chunk, config, lexicon)
+        print(f"{chunk.index}\t{domain}")
+        _print_warnings(warnings)
     return 0
 
 
@@ -248,7 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     classify_cmd = commands.add_parser("classify", help="show the domain of every chunk")
     classify_cmd.add_argument("--input", required=True)
-    classify_cmd.add_argument("--size", type=_positive_int, default=DEFAULT_CHUNK_WORDS)
+    classify_cmd.add_argument("--size", type=_positive_int,
+                              help="target words per chunk (default: the config's "
+                              f"chunk_size_words, else {DEFAULT_CHUNK_WORDS})")
+    classify_cmd.add_argument("--config", help="config file (key = value lines)")
     classify_cmd.set_defaults(handler=_cmd_classify)
 
     serve = commands.add_parser("serve-stub", help="run the deterministic stub backend")

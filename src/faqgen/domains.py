@@ -8,7 +8,8 @@ offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import string
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -61,10 +62,18 @@ class LexiconFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DomainLexicon:
-    """Per-domain keyword terms used by the fallback classifier."""
+    """Per-domain keyword terms used by the fallback classifier.
+
+    ``entries`` is copied at construction, and ``term_domains``, built
+    from it then, maps each term to the domains that list it, in canonical
+    order.
+    """
 
     entries: Mapping[str, frozenset[str]]
     version: str
+    term_domains: Mapping[str, tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         missing = [domain for domain in DOMAINS if domain not in self.entries]
@@ -73,7 +82,9 @@ class DomainLexicon:
         unknown = [domain for domain in self.entries if domain not in DOMAINS]
         if unknown:
             raise LexiconFormatError(f"lexicon has unknown domains: {unknown}")
-        for domain, terms in self.entries.items():
+        entries = {domain: frozenset(self.entries[domain]) for domain in DOMAINS}
+        term_domains: dict[str, tuple[str, ...]] = {}
+        for domain, terms in entries.items():
             if len(terms) < MIN_TERMS_PER_DOMAIN:
                 raise LexiconFormatError(
                     f"domain {domain!r} has {len(terms)} terms, "
@@ -84,6 +95,14 @@ class DomainLexicon:
                     raise LexiconFormatError(
                         f"domain {domain!r} has invalid term {term!r}"
                     )
+                if term != term.strip(string.punctuation):
+                    raise LexiconFormatError(
+                        f"domain {domain!r} has term {term!r} with leading or "
+                        f"trailing punctuation, which tokens never keep"
+                    )
+                term_domains[term] = term_domains.get(term, ()) + (domain,)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "term_domains", term_domains)
 
 
 def parse_domain(name: str) -> str:
@@ -129,11 +148,11 @@ def default_lexicon() -> DomainLexicon:
 
 def lexicon_hits(context: str, lexicon: DomainLexicon) -> dict[str, int]:
     """Token-occurrence hit count per domain for *context*."""
-    hits = {domain: 0 for domain in DOMAINS}
+    hits = dict.fromkeys(DOMAINS, 0)
+    term_domains = lexicon.term_domains
     for token in word_tokens(context):
-        for domain in DOMAINS:
-            if token in lexicon.entries[domain]:
-                hits[domain] += 1
+        for domain in term_domains.get(token, ()):
+            hits[domain] += 1
     return hits
 
 

@@ -113,6 +113,31 @@ class FaqResult:
         )
 
 
+def config_lexicon(cfg: PipelineConfig) -> DomainLexicon:
+    """The lexicon at ``cfg.lexicon_path``, else the packaged one."""
+    return load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else default_lexicon()
+
+
+def chunk_domain(
+    chunk: Chunk, cfg: PipelineConfig, lexicon: DomainLexicon | None = None
+) -> tuple[str, list[PipelineWarning]]:
+    """Step 2: the domain of *chunk*, with any warning it raised.
+
+    When the domain step fails, the lexicon classifier answers instead and
+    a ``ClassifierFallback`` warning says so.
+    """
+    try:
+        return identify_domain(chunk.context, lexicon, cfg.endpoints), []
+    except (GatewayError, InvalidDomain) as exc:
+        warning = PipelineWarning(
+            kind="ClassifierFallback",
+            message=f"chunk {chunk.index}: remote classification failed "
+            f"({exc}); used lexicon fallback",
+            chunk_index=chunk.index,
+        )
+        return classify(chunk.context, lexicon), [warning]
+
+
 def process_chunk(
     chunk: Chunk, cfg: PipelineConfig, lexicon: DomainLexicon | None = None
 ) -> ChunkOutcome:
@@ -122,19 +147,7 @@ def process_chunk(
     whole chunk with a warning, per-question failures drop just that
     question. Pairs come back ordered by q_index.
     """
-    warnings: list[PipelineWarning] = []
-    try:
-        domain = identify_domain(chunk.context, lexicon, cfg.endpoints)
-    except (GatewayError, InvalidDomain) as exc:
-        domain = classify(chunk.context, lexicon)
-        warnings.append(
-            PipelineWarning(
-                kind="ClassifierFallback",
-                message=f"chunk {chunk.index}: remote classification failed "
-                f"({exc}); used lexicon fallback",
-                chunk_index=chunk.index,
-            )
-        )
+    domain, warnings = chunk_domain(chunk, cfg, lexicon)
 
     try:
         questions = generate_questions(chunk, domain, cfg.question_cap, cfg.endpoints)
@@ -174,7 +187,7 @@ def run(doc: SourceDocument, cfg: PipelineConfig) -> FaqResult:
     has finished, and the result is byte-identical for any worker count.
     """
     chunks = build_chunks(doc, cfg.chunk_size_words)
-    lexicon = load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else default_lexicon()
+    lexicon = config_lexicon(cfg)
 
     if cfg.worker_count == 1 or len(chunks) == 1:
         outcomes = [process_chunk(chunk, cfg, lexicon) for chunk in chunks]

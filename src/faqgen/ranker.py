@@ -71,21 +71,43 @@ def content_tokens(text: str) -> Counter[str]:
     return Counter(content_token_list(text))
 
 
+def _prepared(text: str) -> tuple[Counter[str], int]:
+    """*text*'s content-token counts and their integer squared norm."""
+    counts = content_tokens(text)
+    return counts, sum(c * c for c in counts.values())
+
+
+def _scores(
+    qa_text: str, qa: tuple[Counter[str], int], context: tuple[Counter[str], int]
+) -> tuple[float, int]:
+    """Semantic and keyword score of prepared *qa* against prepared *context*.
+
+    The dot product, the shared-token count and both squared norms stay
+    integers until the one division, so a context prepared once gives
+    bit-identical scores for every pair scored against it.
+    """
+    left, left_norm_sq = qa
+    right, right_norm_sq = context
+    dot = 0
+    shared = 0
+    for token, count in left.items():
+        other = right.get(token)
+        if other:
+            dot += count * other
+            shared += 1
+    if not shared:
+        return 0.0, 0
+    semantic = min(1.0, dot / math.sqrt(left_norm_sq * right_norm_sq))
+    return semantic, shared - len(qa_text) // PENALTY_SPAN_CHARS
+
+
 def semantic_similarity(qa_text: str, context: str) -> float:
     """Cosine similarity of raw term-frequency vectors, in [0, 1].
 
     Either side having no content tokens yields 0.0. Identical token
     multisets yield exactly 1.0.
     """
-    left = content_tokens(qa_text)
-    right = content_tokens(context)
-    if not left or not right:
-        return 0.0
-    dot = sum(count * right[token] for token, count in left.items())
-    if dot == 0:
-        return 0.0
-    norm_sq = sum(c * c for c in left.values()) * sum(c * c for c in right.values())
-    return min(1.0, dot / math.sqrt(norm_sq))
+    return _scores(qa_text, _prepared(qa_text), _prepared(context))[0]
 
 
 def keyword_score(qa_text: str, context: str) -> int:
@@ -95,10 +117,7 @@ def keyword_score(qa_text: str, context: str) -> int:
     subtracted per full 200 characters of *qa_text* (Unicode code points),
     so the result can go negative.
     """
-    shared = set(content_token_list(qa_text)) & set(content_token_list(context))
-    if not shared:
-        return 0
-    return len(shared) - len(qa_text) // PENALTY_SPAN_CHARS
+    return _scores(qa_text, _prepared(qa_text), _prepared(context))[1]
 
 
 def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
@@ -107,11 +126,16 @@ def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
     Descending total score; exact ties resolve by (chunk_index, q_index)
     ascending. Ranks are assigned 1..N with no gaps.
     """
+    # Pairs of one chunk share its prepared context; equal chunks have equal
+    # contexts, so keying by the chunk (not its index) is exact.
+    contexts: dict[Chunk, tuple[Counter[str], int]] = {}
     rows: list[tuple[QaPair, float, int, float]] = []
     for pair, chunk in pairs:
+        context = contexts.get(chunk)
+        if context is None:
+            context = contexts[chunk] = _prepared(chunk.context)
         qa_text = f"{pair.question.text} {pair.answer.text}"
-        semantic = semantic_similarity(qa_text, chunk.context)
-        keywords = keyword_score(qa_text, chunk.context)
+        semantic, keywords = _scores(qa_text, _prepared(qa_text), context)
         rows.append((pair, semantic, keywords, semantic + keywords))
     rows.sort(key=lambda row: (-row[3], row[0].chunk_index, row[0].q_index))
     return [

@@ -94,7 +94,7 @@ def test_chunk_arithmetic_large_document():
     assert elapsed < 5.0, f"chunking took {elapsed:.2f}s"
 
 
-@criterion(2, "ranking oracle equivalence on 100 random pairs")
+@criterion(2, "ranking oracle equivalence on 100 random pairs and on shared chunks")
 def test_ranking_oracle_equivalence():
     rng = random.Random(20240811)
     pairs = []
@@ -125,10 +125,40 @@ def test_ranking_oracle_equivalence():
 
         assert abs(semantic_similarity(qa_text, context) - oracle_cosine(qa_text, context)) < 1e-9
         assert keyword_score(qa_text, context) == oracle_keyword(qa_text, context)
+    inputs = [(pairs, oracle_items)]
 
-    scored = rank(pairs)
-    expected = oracle_rank_order(oracle_items)
-    assert [faq.pair.q_index for faq in scored] == [position for position, _, _ in expected]
+    # As run() passes them: several pairs share one Chunk object. Chunks 0
+    # and 1 share an index but not a context; the last chunk equals chunk 2
+    # but is a distinct object.
+    chunks = [
+        Chunk(index=index, sentences=(" ".join(rng.choices(VOCAB, k=rng.randint(5, 40))),))
+        for index in (0, 0, 1, 2)
+    ]
+    chunks.append(Chunk(index=chunks[3].index, sentences=chunks[3].sentences))
+    assert chunks[0].context != chunks[1].context and chunks[4] is not chunks[3]
+    pairs = []
+    oracle_items = []
+    for i in range(60):
+        chunk = rng.choice(chunks)
+        question = " ".join(rng.choices(VOCAB, k=rng.randint(1, 12))) + "?"
+        answer = " ".join(rng.choices(VOCAB, k=rng.randint(1, 20))) + "."
+        pair = QaPair(
+            question=GeneratedQuestion(chunk_index=chunk.index, q_index=i, text=question),
+            phrase=AnswerPhrase(text="x"),
+            answer=CompletedAnswer(text=answer),
+        )
+        pairs.append((pair, chunk))
+        oracle_items.append((f"{question} {answer}", chunk.context, chunk.index, i))
+    assert {id(chunk) for _, chunk in pairs} == {id(chunk) for chunk in chunks}
+    inputs.append((pairs, oracle_items))
+
+    for pairs, oracle_items in inputs:
+        scored = rank(pairs)
+        expected = oracle_rank_order(oracle_items)
+        assert [faq.pair.q_index for faq in scored] == [position for position, _, _ in expected]
+        for faq, (_, semantic, keyword) in zip(scored, expected):
+            assert abs(faq.semantic_score - semantic) < 1e-9
+            assert faq.keyword_score == keyword
 
 
 @criterion(3, "cosine fixtures: self 1.0, disjoint 0.0, 4/sqrt(18) within 1e-9")

@@ -186,6 +186,51 @@ class TestChunkAndClassify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["0\tScience and Technology", "1\tSports"]
 
+    def test_classify_honours_config(self, doc_file, tmp_path, capsys):
+        # Ten words of chunk 0 that no packaged term matches, added under
+        # Gaming, outnumber its Science and Technology hits.
+        extra = "entanglement distant particles fragile physicists photon pairs secure trusted networks"
+        packaged = (Path(faqgen.__file__).parent / "data" / "lexicon_v1.txt").read_text("utf-8")
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(packaged + "".join(f"Gaming\t{w}\n" for w in extra.split()), "utf-8")
+        config = tmp_path / "classify.conf"
+        config.write_text(f"chunk_size_words = 30\nlexicon_path = {lexicon}\n", "utf-8")
+        for argv, environment in (
+            (["--config", str(config)], {}),
+            ([], {"FAQGEN_CONFIG": str(config)}),
+        ):
+            code = run_cli(["classify", "--input", str(doc_file), *argv], environment)
+            assert code == 0
+            assert capsys.readouterr().out.strip().splitlines() == ["0\tGaming", "1\tSports"]
+        # --size overrides the config's chunk size.
+        code = run_cli(["classify", "--input", str(doc_file), "--size", "250",
+                        "--config", str(config)], {})
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines() == ["0\tGaming"]
+
+        # A term no token can match makes the lexicon unusable: exit 1.
+        lexicon.write_text(packaged + "Gaming\tc++\n", "utf-8")
+        code = run_cli(["classify", "--input", str(doc_file), "--config", str(config)], {})
+        assert code == 1
+        assert "c++" in capsys.readouterr().err
+
+    def test_classify_uses_domain_url_with_lexicon_fallback(
+        self, doc_file, tmp_path, canned_backend, capsys
+    ):
+        url, backend = canned_backend(
+            {"/v1/domain": [(200, {"domain": "Music"}), (200, {"domain": "Astrology"})]}
+        )
+        config = tmp_path / "remote.conf"
+        config.write_text(
+            f"chunk_size_words = 30\ndomain_url = {url}/v1/domain\n", encoding="utf-8"
+        )
+        code = run_cli(["classify", "--input", str(doc_file), "--config", str(config)], {})
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines() == ["0\tMusic", "1\tSports"]
+        assert backend.hits["/v1/domain"] == 2
+        assert captured.err.startswith("warning [ClassifierFallback] chunk 1: ")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from faqgen.chunker import word_tokens
 from faqgen.domains import (
     DOMAINS,
     DomainLexicon,
@@ -92,6 +95,28 @@ class TestLoadLexicon:
         with pytest.raises(LexiconFormatError):
             DomainLexicon(entries=entries, version="x")
 
+    @pytest.mark.parametrize(
+        "term",
+        # Tokens lose leading and trailing punctuation, so the last three
+        # could never match.
+        ["", "Quantum", "two words", "c++", '"jazz"', "--"],
+    )
+    def test_invalid_term_rejected(self, term):
+        entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}
+        entries["Gaming"] |= {term}
+        with pytest.raises(LexiconFormatError):
+            DomainLexicon(entries=entries, version="x")
+
+    def test_later_edits_to_the_entries_change_nothing(self):
+        entries = {domain: {f"t{i}" for i in range(12)} for domain in DOMAINS}
+        lexicon = DomainLexicon(entries=entries, version="x")
+        entries["Gaming"].add("zoning")
+        entries["Music"] = set()
+        assert len(lexicon.entries["Music"]) == 12
+        assert lexicon_hits("zoning t1", lexicon) == oracle_lexicon_hits(
+            "zoning t1", dict(lexicon.entries)
+        )
+
 
 class TestClassify:
     def test_science_fixture_matches_oracle(self):
@@ -154,3 +179,44 @@ class TestClassify:
     def test_occurrences_counted_not_distinct_terms(self):
         lexicon = default_lexicon()
         assert lexicon_hits("quantum quantum quantum", lexicon)["Science and Technology"] == 3
+
+
+_PACKAGED = default_lexicon()
+# "football" is a packaged Sports term; here it, and a term with inner
+# punctuation, are listed under two domains each.
+_SHARED = DomainLexicon(
+    entries={
+        **dict(_PACKAGED.entries),
+        "Gaming": _PACKAGED.entries["Gaming"] | {"football", "e-sport"},
+        "Sports": _PACKAGED.entries["Sports"] | {"e-sport"},
+    },
+    version="shared",
+)
+_TERMS = sorted(set().union(*_SHARED.entries.values()))
+_WORDS = st.one_of(
+    st.sampled_from(_TERMS),
+    st.sampled_from(["football", "e-sport"]),
+    st.sampled_from(["zzz", "the", "plain", "42", "-", "e", "sport", "foot-ball"]),
+)
+_TOKENS = st.builds(
+    lambda lead, word, case, trail: lead + case(word) + trail,
+    st.sampled_from(["", '"', "(", "'", "--", "#"]),
+    _WORDS,
+    st.sampled_from([str, str.upper, str.title, str.capitalize]),
+    st.sampled_from(["", ".", ",", "!?", ")", '"', "'s", "..."]),
+)
+
+
+@pytest.mark.parametrize("lexicon", [_PACKAGED, _SHARED], ids=["packaged", "shared"])
+@given(context=st.lists(_TOKENS, max_size=40).map(" ".join))
+def test_lexicon_hits_equal_the_per_domain_scan(lexicon, context):
+    # The per-token test against every domain's term set that the term ->
+    # domains index replaced.
+    scan = {domain: 0 for domain in DOMAINS}
+    for token in word_tokens(context):
+        for domain in DOMAINS:
+            if token in lexicon.entries[domain]:
+                scan[domain] += 1
+    hits = lexicon_hits(context, lexicon)
+    assert hits == scan
+    assert list(hits) == list(DOMAINS)
