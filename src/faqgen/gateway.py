@@ -12,8 +12,10 @@ their inputs so end-to-end runs are reproducible offline.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
+from http.cookiejar import DefaultCookiePolicy
 from typing import Callable, Sequence
 
 import requests
@@ -106,13 +108,49 @@ class CompletedAnswer:
             )
 
 
+# Per thread: a session, which keeps its connections alive between calls,
+# and per URL the settings requests would otherwise read from the
+# environment on every call. A requests.Session is not documented as
+# thread-safe, so each thread has its own; it goes when the thread ends.
+_thread = threading.local()
+
+
+def _session_and_settings(url: str) -> tuple[requests.Session, dict]:
+    """This thread's session, and the proxies (``HTTP_PROXY``, ``NO_PROXY``),
+    CA bundle (``REQUESTS_CA_BUNDLE``) and ``.netrc`` credentials for *url*."""
+    try:
+        session, url_settings = _thread.session, _thread.url_settings
+    except AttributeError:
+        session = _thread.session = requests.Session()
+        # Calls pass the settings read below, so the session itself does
+        # not scan the environment on every call.
+        session.trust_env = False
+        # Keep no cookies, so each request is what a one-off post would send.
+        session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
+        url_settings = _thread.url_settings = {}
+    settings = url_settings.get(url)
+    if settings is None:
+        session.trust_env = True
+        settings = session.merge_environment_settings(url, {}, None, None, None)
+        session.trust_env = False
+        settings["auth"] = requests.utils.get_netrc_auth(url)
+        url_settings[url] = settings
+    return session, settings
+
+
 def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
     """POST *payload* as JSON, retrying transient failures with backoff.
 
     Connection errors, timeouts, 5xx responses and unparseable bodies are
     retried up to ``max_retries`` extra times; other non-200 statuses raise
     :class:`RequestRejected` immediately.
+
+    Each thread keeps one connection per backend alive across calls. The
+    environment's proxy, CA bundle and ``.netrc`` settings for *url* are
+    read on the thread's first call to it; a later change to the
+    environment is not seen by that thread for that URL.
     """
+    session, settings = _session_and_settings(url)
     attempts = endpoints.max_retries + 1
     delay = RETRY_BASE_DELAY_SECONDS
     last_error: Exception | None = None
@@ -121,8 +159,8 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
             time.sleep(delay)
             delay *= 2
         try:
-            response = requests.post(
-                url, json=payload, timeout=endpoints.timeout_ms / 1000.0
+            response = session.post(
+                url, json=payload, timeout=endpoints.timeout_ms / 1000.0, **settings
             )
         except requests.RequestException as exc:
             last_error = exc

@@ -9,9 +9,12 @@ GET  /v1/health                                                             -> {
 Each POST is answered by the same stub handler the gateway calls in-process
 (``gateway.STUB_HANDLERS``), which splits the request's context into the
 sentences the in-process stub reads from its chunk; this module only routes,
-frames and sets status codes. Malformed HTTP framing returns 400, a declared body longer than
+frames and sets status codes. Malformed HTTP framing (including a body not
+framed by ``Content-Length``) returns 400, a declared body longer than
 ``MAX_BODY_BYTES`` 413 (the body is not read) and an invalid body 422, each
 with {"error": s}. Responses are pure functions of the request bodies.
+Connections stay open for further requests (HTTP/1.1), except after a reply
+to a request whose body was not read.
 """
 
 from __future__ import annotations
@@ -44,31 +47,45 @@ class StubBackendServer(ThreadingHTTPServer):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Keeps each connection open for the next request (HTTP/1.1) and sends
+    each reply in one write, so no reply waits for the client's delayed ACK
+    (Nagle). A reply sent without reading the request's body closes the
+    connection, so that body is never parsed as the next request."""
+
     server: StubBackendServer
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    # A reply larger than the write buffer still goes out in two writes.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:
         pass
 
     def do_GET(self) -> None:
+        # A GET's body, if it declares one, is never read.
         if self.path == "/v1/health":
-            self._send(200, {"status": "ok"})
+            self._send(200, {"status": "ok"}, close=True)
         else:
-            self._send(404, {"error": f"no such endpoint: {self.path}"})
+            self._send(404, {"error": f"no such endpoint: {self.path}"}, close=True)
 
     def do_POST(self) -> None:
         handler = _ROUTES.get(self.path)
         if handler is None:
-            self._send(404, {"error": f"no such endpoint: {self.path}"})
+            self._send(404, {"error": f"no such endpoint: {self.path}"}, close=True)
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
-        if length < 0:
-            self._send(400, {"error": "Content-Length must be a non-negative integer"})
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            self._send(
+                400, {"error": "Content-Length must be a non-negative integer"}, close=True
+            )
             return
         if length > MAX_BODY_BYTES:
-            self._send(413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"})
+            self._send(
+                413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}, close=True
+            )
             return
         try:
             body = json.loads(self.rfile.read(length).decode("utf-8") or "null")
@@ -83,11 +100,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         except RequestRejected as exc:
             self._send(422, {"error": str(exc)})
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: dict, close: bool = False) -> None:
         data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            # Also sets close_connection, so this connection ends here.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

@@ -180,6 +180,21 @@ class TestChunkAndClassify:
         assert words == "30"
         assert len(preview.split()) == 8
 
+    def test_chunk_honours_config(self, doc_file, config_file, capsys):
+        # The config's chunk_size_words = 30 gives the two chunks classify
+        # and generate use; --size overrides it.
+        for argv, environment in (
+            (["--config", str(config_file)], {}),
+            ([], {"FAQGEN_CONFIG": str(config_file)}),
+        ):
+            assert run_cli(["chunk", "--input", str(doc_file), *argv], environment) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert [line.split("\t")[:2] for line in lines] == [["0", "30"], ["1", "30"]]
+        code = run_cli(["chunk", "--input", str(doc_file), "--size", "250",
+                        "--config", str(config_file)], {})
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
     def test_classify_report(self, doc_file, capsys):
         code = run_cli(["classify", "--input", str(doc_file), "--size", "30"], {})
         assert code == 0

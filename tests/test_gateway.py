@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import statistics
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from faqgen.chunker import Chunk, segment_sentences
@@ -13,10 +19,12 @@ from faqgen.gateway import (
     complete_answer,
     extract_answer_phrase,
     generate_questions,
+    post_json,
     stub_answer_phrase,
     stub_complete_answer,
     stub_question_texts,
 )
+from faqgen.stubserver import create_server
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
 
@@ -325,3 +333,110 @@ class TestRemoteCompleteAnswer:
         question = GeneratedQuestion(chunk_index=0, q_index=0, text="What is it?")
         answer = complete_answer(chunk_of("Ctx."), question, AnswerPhrase(text="x"), endpoints)
         assert answer.text == "An unterminated reply."
+
+
+@contextlib.contextmanager
+def serving(server):
+    """Serve *server* in a thread; yields its base URL."""
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    ).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# 400 questions: a reply larger than the stub server's 8 KiB write buffer.
+LONG_CONTEXT = " ".join(f"Topic{i} is sentence number {i} here." for i in range(400))
+
+
+class TestTransport:
+    @pytest.mark.parametrize(
+        "step,payload",
+        [
+            ("domain", {"context": THREE_SENTENCES}),
+            ("questions", {"context": LONG_CONTEXT, "domain": "Gaming", "cap": 400}),
+        ],
+    )
+    def test_calls_from_one_thread_share_one_connection(self, step, payload):
+        server = create_server("127.0.0.1", 0)
+        ports = []
+        accept = server.get_request
+
+        def counted_accept():
+            connection, address = accept()
+            ports.append(address[1])
+            return connection, address
+
+        server.get_request = counted_accept
+        seconds = []
+        with serving(server) as url:
+            for _ in range(20):
+                start = time.perf_counter()
+                reply = post_json(f"{url}/v1/{step}", payload, BackendEndpointSet())
+                seconds.append(time.perf_counter() - start)
+                assert step in reply
+        assert len(ports) == 1
+        # A reply that waits for the client's delayed ACK takes about 40 ms.
+        assert statistics.median(seconds) < 0.010
+
+    def test_sends_no_cookies_back(self):
+        cookies = []
+
+        class SetsCookie(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                cookies.append(self.headers.get("Cookie"))
+                data = b'{"domain": "Gaming"}'
+                self.send_response(200)
+                self.send_header("Set-Cookie", "session=1; Path=/")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), SetsCookie)
+        server.daemon_threads = True
+        with serving(server) as url:
+            for _ in range(3):
+                post_json(f"{url}/v1/domain", {"context": "x"}, BackendEndpointSet())
+        assert cookies == [None, None, None]
+
+
+def set_proxy_environment(monkeypatch, proxy_url: str, no_proxy: str = "") -> None:
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy_url)
+    monkeypatch.setenv("NO_PROXY", no_proxy)
+
+
+class TestProxyEnvironment:
+    # The environment is read once per thread and URL, so each case posts
+    # to a URL that no other test uses.
+
+    def test_http_proxy_receives_the_absolute_uri(self, canned_backend, monkeypatch):
+        url = "http://backend.invalid/v1/domain"
+        proxy_url, proxy = canned_backend({url: [(200, {"domain": "Gaming"})]})
+        set_proxy_environment(monkeypatch, proxy_url)
+        reply = post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=0))
+        assert reply == {"domain": "Gaming"}
+        assert proxy.requests == [(url, {"context": "x"})]
+
+    def test_no_proxy_host_is_reached_directly(self, canned_backend, monkeypatch):
+        # A local backend, so that no test resolves a name.
+        proxy_url, proxy = canned_backend({})
+        backend_url, backend = canned_backend({"/v1/domain": [(200, {"domain": "Music"})]})
+        set_proxy_environment(monkeypatch, proxy_url, no_proxy="127.0.0.1")
+        reply = post_json(
+            f"{backend_url}/v1/domain", {"context": "x"}, BackendEndpointSet(max_retries=0)
+        )
+        assert reply == {"domain": "Music"}
+        assert backend.requests == [("/v1/domain", {"context": "x"})]
+        assert proxy.requests == []

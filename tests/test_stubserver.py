@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 
 import pytest
 import requests
@@ -143,17 +144,43 @@ class TestRoundTrip:
         assert remote == local
 
 
-def raw_post(url: str, head: str, body: str) -> tuple[bytes, dict]:
-    """Send *head* and *body* on one socket, left open until the server
-    closes it, and return the reply's status code and JSON body."""
+def read_reply(sock: socket.socket) -> tuple[bytes, bytes] | None:
+    """One reply's status code and body from *sock*, or None when the
+    server has closed the connection instead of replying."""
+    data = b""
+    try:
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return None
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(next(
+            line.split(b":")[1] for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        ))
+        while len(body) < length:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return None
+            body += chunk
+    except ConnectionResetError:
+        return None
+    return head.split()[1], body
+
+
+def connect(url: str) -> socket.socket:
     host, port = url.removeprefix("http://").split(":")
-    reply = b""
-    with socket.create_connection((host, int(port)), timeout=5) as sock:
+    return socket.create_connection((host, int(port)), timeout=5)
+
+
+def raw_post(url: str, head: str, body: str) -> tuple[bytes, dict]:
+    """Send *head* and *body* on one socket and return the reply's status
+    code and JSON body."""
+    with connect(url) as sock:
         sock.sendall(f"{head}\r\n\r\n{body}".encode("ascii"))
-        while data := sock.recv(4096):
-            reply += data
-    status, _, payload = reply.partition(b"\r\n\r\n")
-    return status.split()[1], json.loads(payload)
+        status, payload = read_reply(sock)
+    return status, json.loads(payload)
 
 
 class TestFraming:
@@ -175,6 +202,52 @@ class TestFraming:
         )
         assert status == b"413"
         assert "error" in payload
+
+
+DOMAIN_BODY = json.dumps({"context": CONTEXT})
+DOMAIN_REQUEST = (
+    f"POST /v1/domain HTTP/1.1\r\nHost: stub\r\nContent-Length: {len(DOMAIN_BODY)}"
+    f"\r\n\r\n{DOMAIN_BODY}"
+).encode("ascii")
+
+
+def domain_reply() -> tuple[bytes, bytes]:
+    body = {"domain": classify(CONTEXT, default_lexicon())}
+    return b"200", json.dumps(body, ensure_ascii=False).encode("utf-8")
+
+
+UNREAD_BODY = '{"context": "x"}'
+
+
+class TestKeepAlive:
+    def test_requests_share_one_connection(self, stub_server_url):
+        with connect(stub_server_url) as sock:
+            for _ in range(3):
+                sock.sendall(DOMAIN_REQUEST)
+                assert read_reply(sock) == domain_reply()
+
+    @pytest.mark.parametrize(
+        "head,status",
+        [
+            (f"POST /v1/missing HTTP/1.1\r\nContent-Length: {len(UNREAD_BODY)}", b"404"),
+            ("POST /v1/domain HTTP/1.1\r\nContent-Length: abc", b"400"),
+            (f"POST /v1/domain HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}", b"413"),
+            # The server reads only bodies framed by Content-Length.
+            ("POST /v1/domain HTTP/1.1\r\nTransfer-Encoding: chunked", b"400"),
+        ],
+    )
+    def test_unread_body_is_never_the_next_request(self, stub_server_url, head, status):
+        # The server answers before reading the body. If the connection
+        # stayed open, the body would be parsed as the next request line.
+        with connect(stub_server_url) as sock:
+            sock.sendall(f"{head}\r\nHost: stub\r\n\r\n{UNREAD_BODY}".encode("ascii"))
+            reply = read_reply(sock)
+            assert reply is not None and reply[0] == status
+            try:
+                sock.sendall(DOMAIN_REQUEST)
+            except (BrokenPipeError, ConnectionResetError):
+                return
+            assert read_reply(sock) in (None, domain_reply())
 
 
 class TestOfflineEqualsHttp:
@@ -209,6 +282,28 @@ class TestOfflineEqualsHttp:
         ]
         if not local.warnings and not remote.warnings:
             assert local.to_json() == remote.to_json()
+
+
+    def test_many_workers_over_http(self, stub_server_url, fixture_document_text):
+        # Each worker thread posts through its own session; a session or
+        # connection shared between threads could mix up replies.
+        document = SourceDocument.from_text("doc", " ".join([fixture_document_text] * 4))
+        endpoints = BackendEndpointSet(
+            **{f"{step}_url": f"{stub_server_url}/v1/{step}"
+               for step in ("domain", "questions", "answer_phrase", "complete_answer")},
+            max_retries=0,
+        )
+        offline = run(document, PipelineConfig(chunk_size_words=10, requested_faq_count=20))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            remote = run(document, PipelineConfig(
+                chunk_size_words=10, requested_faq_count=20, worker_count=8, endpoints=endpoints
+            ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not offline.warnings
+        assert remote.to_json() == offline.to_json()
 
 
 class TestBind:
