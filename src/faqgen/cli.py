@@ -1,7 +1,10 @@
 """Command-line front end: generation, chunk inspection, stub server,
 dataset builders and review aggregation.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. The package raises
+a ``ValueError`` for every malformed input (a document, table, sheet or
+lexicon), an ``OSError`` for a file or address it cannot use and a
+``GatewayError`` for a backend failure; each is a runtime failure.
 """
 
 from __future__ import annotations
@@ -13,12 +16,9 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
-from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks
+from .chunker import DEFAULT_CHUNK_WORDS, SourceDocument, build_chunks
 from .datasets import (
     DEFAULT_ROW_FLOOR,
-    MalformedDataset,
-    MissingCompleteAnswer,
-    PipeInQuestion,
     build_ac_dataset,
     build_ae_dataset,
     build_qg_datasets,
@@ -28,24 +28,11 @@ from .datasets import (
     write_answer_table,
     write_qg_table,
 )
-from .domains import (
-    InvalidDomain,
-    LexiconFormatError,
-    classify,
-    default_lexicon,
-    load_lexicon,
-)
+from .domains import classify, default_lexicon, load_lexicon
 from .gateway import BackendEndpointSet, GatewayError
 from .pipeline import PipelineConfig, PipelineWarning, chunk_domain, config_lexicon, run
-from .reviews import (
-    DuplicateReview,
-    EmptyDomain,
-    MalformedSheet,
-    aggregate,
-    format_report,
-    read_review_sheet,
-)
-from .stubserver import BindFailure, serve_stub
+from .reviews import aggregate, format_report, read_review_sheet
+from .stubserver import serve_stub
 
 CONFIG_ENV_VAR = "FAQGEN_CONFIG"
 
@@ -58,22 +45,6 @@ _STR_KEYS = {
     "lexicon_path",
 }
 _ENDPOINT_KEYS = {field.name for field in fields(BackendEndpointSet)}
-
-_RUNTIME_ERRORS = (
-    EmptyDocument,
-    GatewayError,
-    InvalidDomain,
-    LexiconFormatError,
-    MalformedDataset,
-    PipeInQuestion,
-    MissingCompleteAnswer,
-    EmptyDomain,
-    DuplicateReview,
-    MalformedSheet,
-    BindFailure,
-    OSError,
-    UnicodeDecodeError,
-)
 
 
 class UsageError(Exception):
@@ -320,7 +291,7 @@ def run_cli(argv: list[str], environment: Mapping[str, str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _RUNTIME_ERRORS as exc:
+    except (ValueError, OSError, GatewayError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

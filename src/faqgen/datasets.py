@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .domains import DOMAINS, parse_domain
 
@@ -156,8 +156,6 @@ def build_qg_datasets(
     """
     grouped: dict[str, list[str]] = {}
     for record in records:
-        if "|" in record.question:
-            raise PipeInQuestion(f"question contains '|': {record.question!r}")
         grouped.setdefault(record.context, []).append(record.question)
 
     tables: dict[str, list[QgRow]] = {domain: [] for domain in DOMAINS}
@@ -203,6 +201,41 @@ def build_ac_dataset(custom: Iterable[AnswerRow]) -> list[AnswerRow]:
 # ---------------------------------------------------------------------------
 
 
+Record = TypeVar("Record")
+
+
+def read_csv_table(
+    path: str | Path,
+    header: list[str],
+    make: Callable[..., Record],
+    error: Callable[[str], ValueError],
+) -> list[Record]:
+    """The records of the UTF-8 CSV at *path*: *make* builds one from the
+    cells of each row after the *header* row.
+
+    A wrong header, a row with the wrong number of fields, a CSV syntax error
+    or a record *make* rejects with a ``ValueError`` raises ``error(detail)``,
+    where *detail* names the line of the file. Bytes that are not UTF-8 raise
+    ``UnicodeDecodeError``: the file is decoded in blocks, so no line is known.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        records: list[Record] = []
+        try:
+            first = next(reader, None)
+            if first != header:
+                raise ValueError(f"expected header {header}, got {first}")
+            for cells in reader:
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
+                records.append(make(*cells))
+        except UnicodeDecodeError:
+            raise
+        except (csv.Error, ValueError) as exc:
+            raise error(f"line {reader.line_num or 1}: {exc}") from exc
+        return records
+
+
 def domain_slug(domain: str) -> str:
     """Lowercase file-name slug: spaces and commas become underscores."""
     return "".join("_" if c in " ," else c for c in domain.lower())
@@ -221,15 +254,12 @@ def write_qg_table(path: str | Path, rows: Iterable[QgRow]) -> None:
 
 
 def read_qg_table(path: str | Path) -> list[QgRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != QG_HEADER:
-            raise MalformedDataset(str(path), f"expected header {QG_HEADER}, got {header}")
-        return [
-            QgRow(context=context, questions_list=tuple(cell.split(QUESTION_JOINER)))
-            for context, cell in reader
-        ]
+    return read_csv_table(
+        path,
+        QG_HEADER,
+        lambda context, cell: QgRow(context, tuple(cell.split(QUESTION_JOINER))),
+        lambda detail: MalformedDataset(str(path), detail),
+    )
 
 
 def write_answer_table(
@@ -247,22 +277,11 @@ def write_answer_table(
 
 def read_custom_table(path: str | Path) -> list[AnswerRow]:
     """Read a custom dataset CSV; an empty complete-answer cell means absent."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CUSTOM_HEADER:
-            raise MalformedDataset(str(path), f"expected header {CUSTOM_HEADER}, got {header}")
-        rows = []
-        for number, record in enumerate(reader, start=2):
-            if len(record) != 4:
-                raise MalformedDataset(str(path), f"row {number}: expected 4 fields")
-            context, question, phrase, complete = record
-            rows.append(
-                AnswerRow(
-                    context=context,
-                    question=question,
-                    answer_phrase=phrase,
-                    complete_answer=complete or None,
-                )
-            )
-        return rows
+    return read_csv_table(
+        path,
+        CUSTOM_HEADER,
+        lambda context, question, phrase, complete: AnswerRow(
+            context, question, phrase, complete or None
+        ),
+        lambda detail: MalformedDataset(str(path), detail),
+    )

@@ -403,8 +403,6 @@ def complete_answer(
 ) -> CompletedAnswer:
     """Elaborate *phrase* into a complete, readable answer sentence, ending
     in terminal punctuation ('.' is added when the reply has none)."""
-    if not phrase.text:
-        raise ValueError("phrase must be non-empty")
     request = {"context": chunk.context, "question": question.text, "answer_phrase": phrase.text}
     reply, source = _dispatch("complete_answer", request, endpoints, sentences=chunk.sentences)
     text = _reply_text(reply, "answer", source)

@@ -61,7 +61,6 @@ class PipelineWarning:
 class ChunkOutcome:
     """What one chunk contributed: its domain, surviving pairs, warnings."""
 
-    chunk_index: int
     domain: str
     pairs: list[QaPair]
     warnings: list[PipelineWarning]
@@ -159,7 +158,7 @@ def process_chunk(
                 chunk_index=chunk.index,
             )
         )
-        return ChunkOutcome(chunk.index, domain, [], warnings)
+        return ChunkOutcome(domain, [], warnings)
 
     pairs: list[QaPair] = []
     for question in questions:
@@ -177,7 +176,7 @@ def process_chunk(
             )
             continue
         pairs.append(QaPair(question=question, phrase=phrase, answer=answer))
-    return ChunkOutcome(chunk.index, domain, pairs, warnings)
+    return ChunkOutcome(domain, pairs, warnings)
 
 
 def run(doc: SourceDocument, cfg: PipelineConfig) -> FaqResult:

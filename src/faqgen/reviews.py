@@ -7,13 +7,13 @@ population standard deviation of per-reviewer average scores.
 
 from __future__ import annotations
 
-import csv
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .datasets import read_csv_table
 from .domains import DOMAINS, parse_domain
 
 SCORE_COUNT = 5
@@ -167,29 +167,14 @@ def aggregate(records: Sequence[ReviewRecord]) -> list[DomainAggregate]:
 
 def read_review_sheet(path: str | Path) -> list[ReviewRecord]:
     """Read a ``document_id,domain,reviewer_id,q1..q5`` CSV."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != REVIEW_HEADER:
-            raise MalformedSheet(f"expected header {REVIEW_HEADER}, got {header}")
-        records = []
-        for number, row in enumerate(reader, start=2):
-            if len(row) != len(REVIEW_HEADER):
-                raise MalformedSheet(f"row {number}: expected {len(REVIEW_HEADER)} fields")
-            document_id, domain, reviewer_id, *score_cells = row
-            try:
-                scores = tuple(int(cell) for cell in score_cells)
-            except ValueError as exc:
-                raise MalformedSheet(f"row {number}: non-integer score") from exc
-            records.append(
-                ReviewRecord(
-                    document_id=document_id,
-                    domain=domain,
-                    reviewer_id=reviewer_id,
-                    scores=scores,  # type: ignore[arg-type]
-                )
-            )
-        return records
+    return read_csv_table(
+        path,
+        REVIEW_HEADER,
+        lambda document_id, domain, reviewer_id, *cells: ReviewRecord(
+            document_id, domain, reviewer_id, tuple(map(int, cells))  # type: ignore[arg-type]
+        ),
+        MalformedSheet,
+    )
 
 
 def format_report(aggregates: Sequence[DomainAggregate]) -> str:

@@ -12,7 +12,9 @@ sentences the in-process stub reads from its chunk; this module only routes,
 frames and sets status codes. Malformed HTTP framing (including a body not
 framed by ``Content-Length``) returns 400, a declared body longer than
 ``MAX_BODY_BYTES`` 413 (the body is not read) and an invalid body 422, each
-with {"error": s}. Responses are pure functions of the request bodies.
+with {"error": s}. A request whose reply would carry a lone surrogate escaped
+in its body, which UTF-8 cannot encode, also gets 422. Responses are pure
+functions of the request bodies.
 Connections stay open for further requests (HTTP/1.1), except after a reply
 to a request whose body was not read.
 """
@@ -101,7 +103,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             self._send(422, {"error": str(exc)})
 
     def _send(self, status: int, payload: dict, close: bool = False) -> None:
-        data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        try:
+            data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            # The reply holds a lone surrogate (JSON "\ud800") from the request.
+            status, data = 422, b'{"error": "request body holds a lone surrogate"}'
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))

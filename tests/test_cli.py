@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import http.client
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faqgen
 from faqgen.chunker import SourceDocument
@@ -376,3 +381,187 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "Gaming" in out
         assert "Overall Average" in out
+
+
+REVIEW_HEADER_LINE = "document_id,domain,reviewer_id,q1,q2,q3,q4,q5\n"
+CUSTOM_HEADER_LINE = "Context,Question,Answer Phrase,Complete Answer\n"
+
+
+def one_error_line(err: str) -> str:
+    """The message of *err*, which must be exactly one ``error:`` line."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err[len("error: "):-1]
+
+
+class TestMalformedInputExits1:
+    """Inputs that a library check rejects with a ValueError: each gives exit 1
+    and one error line, and for a CSV that line names the file's line."""
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("d1,Gaming,r1,50,9,7,6,10", "line 2: score 50 outside 0..10"),
+            ("d1,Gaming,,8,9,7,6,10", "line 2: document_id and reviewer_id must be non-empty"),
+            pytest.param('d1,Gaming,r1,"' + "x" * 131_073 + '",9,7,6,10',
+                         "line 2: field larger than", id="oversized-field"),
+        ],
+    )
+    def test_eval_aggregate_bad_row(self, tmp_path, capsys, row, detail):
+        sheet = tmp_path / "sheet.csv"
+        sheet.write_text(REVIEW_HEADER_LINE + row + "\n", encoding="utf-8")
+        assert run_cli(["eval", "aggregate", "--input", str(sheet)], {}) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(detail)
+
+    @pytest.mark.parametrize("row", [",Q?,phrase,Done.", "Ctx.,,phrase,Done.", "Ctx.,Q?,,Done."])
+    @pytest.mark.parametrize("command", ["build-ac", "build-ae"])
+    def test_dataset_blank_custom_cell(self, tmp_path, capsys, command, row):
+        custom = tmp_path / "custom.csv"
+        custom.write_text(CUSTOM_HEADER_LINE + row + "\n", encoding="utf-8")
+        argv = ["dataset", command, "--custom", str(custom), "--output", str(tmp_path / "out.csv")]
+        if command == "build-ae":
+            argv += ["--squad", str(squad_file(tmp_path))]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(f"{custom}: line 2: ")
+
+    def test_squad_group_blank_context(self, tmp_path, capsys):
+        squad = tmp_path / "squad.json"
+        squad.write_text(json.dumps({"data": [{"paragraphs": [
+            {"context": "   ", "qas": [{"question": "Q?", "answers": [{"text": "a"}]}]}
+        ]}]}), encoding="utf-8")
+        code = run_cli(
+            ["dataset", "squad-group", "--squad", str(squad), "--output-dir", str(tmp_path)], {}
+        )
+        assert code == 1
+        assert "blank context" in one_error_line(capsys.readouterr().err)
+
+
+# The CLI property: argv drawn from the real subcommands and flags, with file
+# arguments that name the drawn input, the drawn config, a missing file or a
+# directory. The config sets no backend URL (so nothing leaves the process)
+# and at most 4 workers; serve-stub is left out because it serves forever.
+FILE = st.sampled_from(["{input}"] * 4 + ["{config}", "{missing}", "{dir}"])
+CONFIG = st.sampled_from(["{config}"] * 3 + ["{input}", "{missing}"])
+NUMBER = st.sampled_from(["1", "2", "3", "250", "1", "2", "3", "250", "0", "x"])
+WORKERS = st.sampled_from(["1", "2", "3", "4"])
+# build-ae and build-ac write to the working directory when --output is left
+# out, so it is always given.
+OUTPUT = st.sampled_from(["{dir}/out.csv", "{dir}", "{missing}/out.csv"])
+COMMANDS = {
+    ("generate",): {"--input": FILE, "--count": NUMBER, "--config": CONFIG,
+                    "--workers": WORKERS, "--output": OUTPUT},
+    ("chunk",): {"--input": FILE, "--size": NUMBER, "--config": CONFIG},
+    ("classify",): {"--input": FILE, "--size": NUMBER, "--config": CONFIG},
+    ("dataset", "squad-group"): {"--squad": FILE, "--output-dir": st.sampled_from(
+        ["{dir}/tables", "{input}"]), "--floor": NUMBER, "--lexicon": FILE},
+    ("dataset", "build-ae"): {"--squad": FILE, "--custom": FILE, "--output": OUTPUT},
+    ("dataset", "build-ac"): {"--custom": FILE, "--output": OUTPUT},
+    ("eval", "aggregate"): {"--input": FILE},
+}
+
+CONFIG_LINE = st.one_of(
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(["chunk_size_words", "question_cap", "timeout_ms", "max_retries"]),
+        st.sampled_from(["1", "2", '"30"', "250", "1", "2", '"30"', "250", "0", "x"]),
+    ),
+    st.builds("workers = {}".format, WORKERS),
+    st.builds("{} = {}".format, st.sampled_from(
+        ["domain_url", "questions_url", "answer_phrase_url", "complete_answer_url"]
+    ), st.sampled_from(['""', ""])),
+    st.builds("lexicon_path = {}".format, st.sampled_from(["{input}", "{missing}", "{dir}", '""'])),
+    st.sampled_from(["# comment", ""]),
+    # Lines that are not settings: a usage error.
+    st.sampled_from(["mystery = 1", "workers"]) | st.text(max_size=12).filter(
+        lambda line: "=" not in line and line.strip() and not line.lstrip().startswith("#")
+    ),
+)
+CELL = st.sampled_from(
+    ["", "   ", "Ctx.", "Q?", "a phrase", "a | b", "a|b", 'say "hi"', "two\nlines"]
+)
+SCORE = st.sampled_from(["8", "0", "10", "7", "50", "-1", "x"])
+# Rows shaped like a review sheet's or a custom table's, with blank, out of
+# range and unknown values among the plausible ones.
+REVIEW_ROW = st.builds(
+    lambda head, scores: [*head, *scores],
+    st.tuples(st.sampled_from(["d1", "d2", ""]), st.sampled_from(["Gaming", "Music", "Astrology"]),
+              st.sampled_from(["r1", "r2", ""])),
+    st.lists(SCORE, min_size=5, max_size=5),
+)
+TABLE = st.one_of(
+    st.builds(lambda rows: REVIEW_HEADER_LINE + csv_text(rows), st.lists(REVIEW_ROW, max_size=4)),
+    st.builds(lambda rows: CUSTOM_HEADER_LINE + csv_text(rows),
+              st.lists(st.lists(CELL, min_size=4, max_size=4), max_size=4)),
+    st.builds(lambda header, rows: header + csv_text(rows),
+              st.sampled_from([REVIEW_HEADER_LINE, CUSTOM_HEADER_LINE, "x\n"]),
+              st.lists(st.lists(CELL, max_size=9), max_size=3)),
+)
+SQUAD = st.builds(
+    lambda context, question, answer: json.dumps({"data": [{"paragraphs": [
+        {"context": context, "qas": [{"question": question, "answers": [{"text": answer}]}]}
+    ]}]}),
+    st.sampled_from(["The band played jazz.", "Sports context.", "   ", ""]), CELL, CELL,
+)
+LEXICON = st.lists(
+    st.builds("{}\t{}".format, st.sampled_from(["Gaming", "Music", "Astrology"]),
+              st.sampled_from(["jazz", "c++", "", "  ", "goal"])),
+    max_size=4,
+).map("\n".join)
+DOCUMENT = st.lists(
+    st.sampled_from(["The museum opened.", "Jazz bands play!", "Who won?", "\n\n"]), max_size=30
+).map(" ".join)
+INPUT_BYTES = st.one_of(
+    st.binary(max_size=64),
+    (st.text(max_size=200) | DOCUMENT | TABLE | SQUAD | LEXICON).map(str.encode),
+)
+
+
+def csv_text(rows: list[list[str]]) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    for flag, values in COMMANDS[command].items():
+        if flag == "--output" or draw(st.integers(0, 7)):
+            argv += [flag, draw(values)]
+    argv += draw(st.sampled_from([[]] * 6 + [["--bogus"], ["--help"]]))
+    config = "\n".join(draw(st.lists(CONFIG_LINE, max_size=5)))
+    environment = draw(st.sampled_from(
+        [{}, {}, {"FAQGEN_CONFIG": "{config}"}, {"FAQGEN_CONFIG": "{config}"},
+         {"FAQGEN_CONFIG": "{missing}"}]
+    ))
+    return argv, environment, config, draw(INPUT_BYTES)
+
+
+def fill(text: str, places: dict[str, str]) -> str:
+    for name, place in places.items():
+        text = text.replace(f"{{{name}}}", place)
+    return text
+
+
+class TestCliProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(cli_calls())
+    def test_any_call_exits_0_1_or_2(self, call):
+        argv, environment, config, data = call
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            places = {
+                "input": os.path.join(work, "input.txt"),
+                "config": os.path.join(work, "faqgen.conf"),
+                "missing": os.path.join(work, "missing"),
+                "dir": work,
+            }
+            Path(places["input"]).write_bytes(data)
+            Path(places["config"]).write_text(fill(config, places), encoding="utf-8")
+            argv = [fill(arg, places) for arg in argv]
+            environment = {key: fill(value, places) for key, value in environment.items()}
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run_cli(argv, environment)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == 1

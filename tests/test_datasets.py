@@ -295,6 +295,26 @@ class TestCsvRoundTrips:
         with pytest.raises(MalformedDataset):
             read_custom_table(path)
 
+    @pytest.mark.parametrize(
+        "reader, header, row, detail",
+        [
+            # A record its own type rejects.
+            (read_custom_table, AC_HEADER, "Ctx.,,phrase,Done.", "line 2: AnswerRow"),
+            (read_custom_table, AC_HEADER, ",Q?,phrase,Done.", "line 2: AnswerRow"),
+            (read_qg_table, QG_HEADER, "Ctx.,a|b", "line 2: question contains '|'"),
+            # Field counts and CSV syntax.
+            (read_qg_table, QG_HEADER, "Ctx.", "line 2: expected 2 fields, got 1"),
+            pytest.param(read_custom_table, AC_HEADER, '"' + "x" * 131_073 + '",Q?,p,',
+                         "line 2: field larger", id="oversized-field"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, reader, header, row, detail):
+        path = tmp_path / "table.csv"
+        path.write_text(",".join(header) + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(MalformedDataset) as excinfo:
+            reader(path)
+        assert str(excinfo.value).startswith(f"{path}: {detail}")
+
 
 class TestNaming:
     def test_domain_slug(self):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import re
 
 import pytest
 
@@ -214,6 +215,23 @@ class TestSheetIo:
         path = tmp_path / "sheet.csv"
         self._write_sheet(path, [["doc1", "Gaming", "r1", 8, 9, "x", 6, 10]])
         with pytest.raises(MalformedSheet):
+            read_review_sheet(path)
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            # Records a ReviewRecord rejects.
+            (["doc1", "Gaming", "r1", 8, 9, 50, 6, 10], "line 3: score 50 outside 0..10"),
+            (["doc1", "Gaming", "", 8, 9, 7, 6, 10], "line 3: document_id and reviewer_id"),
+            (["doc1", "Astrology", "r1", 8, 9, 7, 6, 10], "line 3: not a known domain"),
+            # More than the csv module's field size limit.
+            (["doc1", "Gaming", "r1" * 65_537, 8, 9, 7, 6, 10], "line 3: field larger"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, row, detail):
+        path = tmp_path / "sheet.csv"
+        self._write_sheet(path, [["doc0", "Gaming", "r1", 8, 9, 7, 6, 10], row])
+        with pytest.raises(MalformedSheet, match=r"^" + re.escape(detail)):
             read_review_sheet(path)
 
 

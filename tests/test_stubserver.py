@@ -63,6 +63,20 @@ class TestHealthAndRouting:
         assert "error" in response.json()
         assert requests.get(f"{stub_server_url}/v1/health", timeout=5).status_code == 200
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/questions", r'{"context": "\ud800 Hello world.", "domain": "Music", "cap": 1}'),
+            ("/v1/answer_phrase", r'{"context": "Hello world. \udc00", "question": "What?"}'),
+        ],
+    )
+    def test_lone_surrogate_422(self, stub_server_url, path, body):
+        # Valid JSON, but a reply echoing the surrogate cannot be UTF-8.
+        response = requests.post(f"{stub_server_url}{path}", data=body.encode(), timeout=5)
+        assert response.status_code == 422
+        assert isinstance(response.json()["error"], str)
+        assert requests.get(f"{stub_server_url}/v1/health", timeout=5).status_code == 200
+
 
 class TestValidation:
     @pytest.mark.parametrize(
