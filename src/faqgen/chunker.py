@@ -39,22 +39,18 @@ class EmptyDocument(ValueError):
 
 @dataclass(frozen=True)
 class SourceDocument:
-    """A plain-text input document with its whitespace-delimited word count."""
+    """A plain-text input document."""
 
     id: str
     raw_text: str
-    word_count: int
-
-    def __post_init__(self) -> None:
-        actual = word_count(self.raw_text)
-        if self.word_count != actual:
-            raise ValueError(
-                f"word_count {self.word_count} does not match raw_text ({actual} words)"
-            )
 
     @classmethod
     def from_text(cls, doc_id: str, raw_text: str) -> SourceDocument:
-        return cls(id=doc_id, raw_text=raw_text, word_count=word_count(raw_text))
+        return cls(id=doc_id, raw_text=raw_text)
+
+    @property
+    def word_count(self) -> int:
+        return word_count(self.raw_text)
 
 
 @dataclass(frozen=True)

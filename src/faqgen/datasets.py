@@ -21,7 +21,6 @@ QUESTION_JOINER = " | "
 QG_HEADER = ["Context", "Questions List"]
 AE_HEADER = ["Context", "Question", "Answer Phrase"]
 AC_HEADER = ["Context", "Question", "Answer Phrase", "Complete Answer"]
-CUSTOM_HEADER = AC_HEADER
 
 
 class MalformedDataset(ValueError):
@@ -118,8 +117,8 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
             if not isinstance(paragraph, dict):
                 raise MalformedDataset(ppath, "not an object")
             context = paragraph.get("context")
-            if not isinstance(context, str) or not context:
-                raise MalformedDataset(f"{ppath}.context", "missing or empty")
+            if not isinstance(context, str) or not context.strip():
+                raise MalformedDataset(f"{ppath}.context", "missing or blank")
             qas = paragraph.get("qas")
             if not isinstance(qas, list):
                 raise MalformedDataset(f"{ppath}.qas", "missing or not a list")
@@ -128,15 +127,15 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
                 if not isinstance(qa, dict):
                     raise MalformedDataset(qpath, "not an object")
                 question = qa.get("question")
-                if not isinstance(question, str) or not question:
-                    raise MalformedDataset(f"{qpath}.question", "missing or empty")
+                if not isinstance(question, str) or not question.strip():
+                    raise MalformedDataset(f"{qpath}.question", "missing or blank")
                 answers = qa.get("answers")
                 if not isinstance(answers, list) or not answers:
                     raise MalformedDataset(f"{qpath}.answers", "missing or empty")
                 first = answers[0]
                 if not isinstance(first, dict) or not isinstance(first.get("text"), str) \
-                        or not first["text"]:
-                    raise MalformedDataset(f"{qpath}.answers[0].text", "missing or empty")
+                        or not first["text"].strip():
+                    raise MalformedDataset(f"{qpath}.answers[0].text", "missing or blank")
                 records.append(
                     SquadRecord(context=context, question=question, answer_text=first["text"])
                 )
@@ -279,7 +278,7 @@ def read_custom_table(path: str | Path) -> list[AnswerRow]:
     """Read a custom dataset CSV; an empty complete-answer cell means absent."""
     return read_csv_table(
         path,
-        CUSTOM_HEADER,
+        AC_HEADER,
         lambda context, question, phrase, complete: AnswerRow(
             context, question, phrase, complete or None
         ),

@@ -70,7 +70,6 @@ class DomainLexicon:
     """
 
     entries: Mapping[str, frozenset[str]]
-    version: str
     term_domains: Mapping[str, tuple[str, ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -112,7 +111,7 @@ def parse_domain(name: str) -> str:
     return name
 
 
-def _parse_lexicon_lines(lines: Iterable[str], version: str) -> DomainLexicon:
+def _parse_lexicon_lines(lines: Iterable[str]) -> DomainLexicon:
     entries: dict[str, set[str]] = {domain: set() for domain in DOMAINS}
     for number, raw_line in enumerate(lines, start=1):
         line = raw_line.rstrip("\n")
@@ -125,17 +124,13 @@ def _parse_lexicon_lines(lines: Iterable[str], version: str) -> DomainLexicon:
         if domain not in DOMAINS:
             raise LexiconFormatError(f"line {number}: unknown domain {domain!r}")
         entries[domain].add(term)
-    return DomainLexicon(
-        entries={domain: frozenset(terms) for domain, terms in entries.items()},
-        version=version,
-    )
+    return DomainLexicon(entries={domain: frozenset(terms) for domain, terms in entries.items()})
 
 
-def load_lexicon(path: str | Path, version: str | None = None) -> DomainLexicon:
+def load_lexicon(path: str | Path) -> DomainLexicon:
     """Load a tab-separated ``<domain>\\t<term>`` lexicon file."""
-    file_path = Path(path)
-    with open(file_path, encoding="utf-8") as fh:
-        return _parse_lexicon_lines(fh, version or file_path.stem)
+    with open(path, encoding="utf-8") as fh:
+        return _parse_lexicon_lines(fh)
 
 
 @lru_cache(maxsize=1)
@@ -143,7 +138,7 @@ def default_lexicon() -> DomainLexicon:
     """The lexicon shipped with the package."""
     resource = resources.files("faqgen").joinpath("data", _DEFAULT_LEXICON_RESOURCE)
     with resource.open("r", encoding="utf-8") as fh:
-        return _parse_lexicon_lines(fh, Path(_DEFAULT_LEXICON_RESOURCE).stem)
+        return _parse_lexicon_lines(fh)
 
 
 def lexicon_hits(context: str, lexicon: DomainLexicon) -> dict[str, int]:

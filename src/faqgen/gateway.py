@@ -174,6 +174,8 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
             except (ValueError, RecursionError):
                 reply = None
             detail = reply.get("error", "") if isinstance(reply, dict) else response.text[:200]
+            if not _is_text(detail):
+                detail = ascii(detail)
             raise RequestRejected(
                 f"{url} rejected request: HTTP {response.status_code} {detail}".rstrip()
             )
@@ -325,10 +327,23 @@ def _dispatch(
     return STUB_HANDLERS[step](request, lexicon, sentences), f"{step} stub"
 
 
-def _reply_text(reply: dict, key: str, source: str) -> str:
-    """The reply's *key*, which must be a string that is not blank, trimmed."""
-    value = reply.get(key)
+def _is_text(value: object) -> bool:
+    """Whether *value* is a string that UTF-8 can encode. JSON can escape a
+    lone surrogate, which UTF-8 cannot; a reply holding one is malformed."""
     if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _reply_text(reply: dict, key: str, source: str) -> str:
+    """The reply's *key*, which must be text (``_is_text``) that is not
+    blank, trimmed."""
+    value = reply.get(key)
+    if not _is_text(value):
         raise BackendUnavailable(f"{source} returned malformed {key} body")
     text = value.strip()
     if not text:
@@ -370,7 +385,7 @@ def generate_questions(
     request = {"context": chunk.context, "domain": domain, "cap": cap}
     reply, source = _dispatch("questions", request, endpoints, sentences=chunk.sentences)
     raw = reply.get("questions")
-    if not isinstance(raw, list) or not all(isinstance(q, str) for q in raw):
+    if not isinstance(raw, list) or not all(_is_text(q) for q in raw):
         raise BackendUnavailable(f"{source} returned malformed questions body")
     texts = [q.strip() for q in raw if q.strip()][:cap]
     texts = list(dict.fromkeys(t if t.endswith("?") else t + "?" for t in texts))

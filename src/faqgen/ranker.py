@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .chunker import word_tokens
@@ -42,23 +42,28 @@ class QaPair:
     question: GeneratedQuestion
     phrase: AnswerPhrase
     answer: CompletedAnswer
-    chunk_index: int = field(init=False)
-    q_index: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chunk_index", self.question.chunk_index)
-        object.__setattr__(self, "q_index", self.question.q_index)
+    @property
+    def chunk_index(self) -> int:
+        return self.question.chunk_index
+
+    @property
+    def q_index(self) -> int:
+        return self.question.q_index
 
 
 @dataclass(frozen=True)
 class ScoredFaq:
-    """A ranked pair with both score terms and their exact sum."""
+    """A ranked pair with both score terms; ``total_score`` is their sum."""
 
     pair: QaPair
     semantic_score: float
     keyword_score: int
-    total_score: float
     rank: int
+
+    @property
+    def total_score(self) -> float:
+        return self.semantic_score + self.keyword_score
 
 
 def content_token_list(text: str) -> list[str]:
@@ -129,22 +134,15 @@ def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
     # Pairs of one chunk share its prepared context; equal chunks have equal
     # contexts, so keying by the chunk (not its index) is exact.
     contexts: dict[Chunk, tuple[Counter[str], int]] = {}
-    rows: list[tuple[QaPair, float, int, float]] = []
+    rows: list[tuple[QaPair, float, int]] = []
     for pair, chunk in pairs:
         context = contexts.get(chunk)
         if context is None:
             context = contexts[chunk] = _prepared(chunk.context)
         qa_text = f"{pair.question.text} {pair.answer.text}"
-        semantic, keywords = _scores(qa_text, _prepared(qa_text), context)
-        rows.append((pair, semantic, keywords, semantic + keywords))
-    rows.sort(key=lambda row: (-row[3], row[0].chunk_index, row[0].q_index))
+        rows.append((pair, *_scores(qa_text, _prepared(qa_text), context)))
+    rows.sort(key=lambda row: (-(row[1] + row[2]), row[0].chunk_index, row[0].q_index))
     return [
-        ScoredFaq(
-            pair=pair,
-            semantic_score=semantic,
-            keyword_score=keywords,
-            total_score=total,
-            rank=position,
-        )
-        for position, (pair, semantic, keywords, total) in enumerate(rows, start=1)
+        ScoredFaq(pair=pair, semantic_score=semantic, keyword_score=keywords, rank=position)
+        for position, (pair, semantic, keywords) in enumerate(rows, start=1)
     ]

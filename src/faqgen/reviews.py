@@ -11,7 +11,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .datasets import read_csv_table
 from .domains import DOMAINS, parse_domain
@@ -21,10 +21,6 @@ SCORE_MIN = 0
 SCORE_MAX = 10
 
 REVIEW_HEADER = ["document_id", "domain", "reviewer_id", "q1", "q2", "q3", "q4", "q5"]
-
-
-class EmptyDomain(ValueError):
-    """A requested domain has no review records."""
 
 
 class DuplicateReview(ValueError):
@@ -90,25 +86,14 @@ def _validate(records: Sequence[ReviewRecord]) -> None:
             )
 
 
-def _requested_groups(
-    records: Sequence[ReviewRecord], domains: Iterable[str] | None
-) -> dict[str, list[ReviewRecord]]:
-    """Validate *records* and group them per requested domain (default: every
-    domain present, in canonical order). A requested domain with no records
-    raises EmptyDomain."""
+def _domain_groups(records: Sequence[ReviewRecord]) -> dict[str, list[ReviewRecord]]:
+    """Validate *records* and group them per domain present, in canonical
+    order."""
     _validate(records)
     grouped: dict[str, list[ReviewRecord]] = {}
     for record in records:
         grouped.setdefault(record.domain, []).append(record)
-    if domains is None:
-        return {domain: grouped[domain] for domain in DOMAINS if domain in grouped}
-    result: dict[str, list[ReviewRecord]] = {}
-    for domain in domains:
-        rows = grouped.get(parse_domain(domain))
-        if not rows:
-            raise EmptyDomain(f"no review records for domain {domain!r}")
-        result[domain] = rows
-    return result
+    return {domain: grouped[domain] for domain in DOMAINS if domain in grouped}
 
 
 def _averages(rows: list[ReviewRecord]) -> tuple[int, ...]:
@@ -131,27 +116,6 @@ def _stddevs(rows: list[ReviewRecord]) -> tuple[float, ...]:
     )
 
 
-def domain_averages(
-    records: Sequence[ReviewRecord], domains: Iterable[str] | None = None
-) -> dict[str, tuple[int, ...]]:
-    """Mean of all scores per domain and test question, rounded half away
-    from zero. Requesting a domain with no records raises EmptyDomain."""
-    groups = _requested_groups(records, domains)
-    return {domain: _averages(rows) for domain, rows in groups.items()}
-
-
-def reviewer_stddevs(
-    records: Sequence[ReviewRecord], domains: Iterable[str] | None = None
-) -> dict[str, tuple[float, ...]]:
-    """Population standard deviation of per-reviewer average scores.
-
-    Each reviewer's scores are first averaged over every document of the
-    domain they reviewed; the deviation is then taken across reviewers.
-    """
-    groups = _requested_groups(records, domains)
-    return {domain: _stddevs(rows) for domain, rows in groups.items()}
-
-
 def aggregate(records: Sequence[ReviewRecord]) -> list[DomainAggregate]:
     """One aggregate per domain present, in canonical domain order."""
     return [
@@ -161,7 +125,7 @@ def aggregate(records: Sequence[ReviewRecord]) -> list[DomainAggregate]:
             averages=_averages(rows),
             stddevs=_stddevs(rows),
         )
-        for domain, rows in _requested_groups(records, None).items()
+        for domain, rows in _domain_groups(records).items()
     ]
 
 

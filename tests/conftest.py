@@ -12,7 +12,7 @@ from faqgen.stubserver import create_server
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _serve_in_thread(server) -> None:
+def serve_in_thread(server) -> None:
     # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
     threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -33,7 +33,7 @@ def fixture_document_text() -> str:
 def stub_server_url():
     """A live stub backend on an ephemeral port (stateless, shared per session)."""
     server = create_server("127.0.0.1", 0)
-    _serve_in_thread(server)
+    serve_in_thread(server)
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
@@ -89,7 +89,7 @@ def canned_backend():
 
     def _start(script) -> tuple[str, CannedBackend]:
         server = CannedBackend(script)
-        _serve_in_thread(server)
+        serve_in_thread(server)
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}", server
 

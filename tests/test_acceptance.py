@@ -38,7 +38,7 @@ from faqgen.gateway import (
 )
 from faqgen.pipeline import PipelineConfig, run
 from faqgen.ranker import QaPair, keyword_score, rank, semantic_similarity
-from faqgen.reviews import ReviewRecord, domain_averages, reviewer_stddevs
+from faqgen.reviews import ReviewRecord, aggregate
 from oracles import oracle_cosine, oracle_keyword, oracle_rank_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -344,14 +344,16 @@ def test_review_aggregation():
         ReviewRecord("d1", "Gaming", "r1", (8, 8, 8, 8, 8)),
         ReviewRecord("d1", "Gaming", "r2", (9, 8, 8, 8, 8)),
     ]
-    assert domain_averages(half_case)["Gaming"][0] == 9  # mean 8.5
+    assert aggregate(half_case)[0].averages[0] == 9  # mean 8.5
 
     plain_case = [
         ReviewRecord("d1", "Music", f"r{i}", (s, s, s, s, s))
         for i, s in enumerate((8, 9, 9, 10))
     ]
-    assert domain_averages(plain_case)["Music"] == (9, 9, 9, 9, 9)
-    deviation = reviewer_stddevs(plain_case)["Music"][0]
+    (music,) = aggregate(plain_case)
+    assert music.domain == "Music"
+    assert music.averages == (9, 9, 9, 9, 9)
+    deviation = music.stddevs[0]
     assert abs(deviation - math.sqrt(0.5)) < 1e-9
     assert f"{deviation:.2f}" == "0.71"
 
@@ -360,7 +362,9 @@ def test_review_aggregation():
         for doc in range(3)
         for rev in range(4)
     ]
-    assert reviewer_stddevs(equal_case)["Sports"] == (0.0,) * 5
+    (sports,) = aggregate(equal_case)
+    assert sports.domain == "Sports"
+    assert sports.stddevs == (0.0,) * 5
 
 
 @criterion(10, "stub question cap: >= 6 sentences yields exactly 5 questions")

@@ -204,7 +204,3 @@ class TestSourceDocument:
     def test_from_text_counts_words(self):
         doc = SourceDocument.from_text("x", "one two three")
         assert doc.word_count == 3
-
-    def test_mismatched_word_count_rejected(self):
-        with pytest.raises(ValueError):
-            SourceDocument(id="x", raw_text="one two", word_count=5)

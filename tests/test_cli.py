@@ -432,7 +432,64 @@ class TestMalformedInputExits1:
             ["dataset", "squad-group", "--squad", str(squad), "--output-dir", str(tmp_path)], {}
         )
         assert code == 1
-        assert "blank context" in one_error_line(capsys.readouterr().err)
+        assert one_error_line(capsys.readouterr().err) == (
+            "data[0].paragraphs[0].context: missing or blank"
+        )
+
+    @pytest.mark.parametrize(
+        "context, question, answer, path",
+        [
+            ("   ", "Q?", "a", "data[0].paragraphs[0].context"),
+            ("Ctx.", " ", "a", "data[0].paragraphs[0].qas[0].question"),
+            ("Ctx.", "Q?", "\t", "data[0].paragraphs[0].qas[0].answers[0].text"),
+        ],
+    )
+    def test_build_ae_blank_squad_field(self, tmp_path, capsys, context, question, answer, path):
+        squad = tmp_path / "squad.json"
+        squad.write_text(json.dumps({"data": [{"paragraphs": [
+            {"context": context, "qas": [{"question": question, "answers": [{"text": answer}]}]}
+        ]}]}), encoding="utf-8")
+        output = tmp_path / "ae.csv"
+        argv = ["dataset", "build-ae", "--squad", str(squad), "--output", str(output)]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == f"{path}: missing or blank"
+        assert not output.exists()
+
+
+# A JSON reply may escape a lone surrogate, which UTF-8 cannot encode; as a
+# 200 reply's text or a 4xx reply's error detail it must end in a warning,
+# not in output that cannot be written.
+LONE_SURROGATE_REPLIES = [
+    ("questions", 200, {"questions": ["What about \ud800 here?"]}, "ChunkSkipped"),
+    ("answer_phrase", 200, {"answer_phrase": "\ud800 here"}, "QuestionDropped"),
+    ("complete_answer", 200, {"answer": "It is \udfff."}, "QuestionDropped"),
+] + [
+    (step, 422, {"error": "bad \ud800 request"}, kind)
+    for step, kind in [
+        ("domain", "ClassifierFallback"),
+        ("questions", "ChunkSkipped"),
+        ("answer_phrase", "QuestionDropped"),
+        ("complete_answer", "QuestionDropped"),
+    ]
+]
+
+
+class TestLoneSurrogateReply:
+    @pytest.mark.parametrize("step, status, reply, kind", LONE_SURROGATE_REPLIES)
+    def test_generate_warns_and_exits_0(
+        self, doc_file, tmp_path, canned_backend, capsys, step, status, reply, kind
+    ):
+        # json.dumps escapes the surrogate, so the reply itself is ASCII.
+        url, backend = canned_backend({f"/v1/{step}": [(status, json.dumps(reply))]})
+        config = tmp_path / "remote.conf"
+        config.write_text(f"{step}_url = {url}/v1/{step}\nmax_retries = 0\n", encoding="utf-8")
+        output = tmp_path / "out.json"
+        argv = ["generate", "--input", str(doc_file), "--count", "3",
+                "--config", str(config), "--output", str(output)]
+        assert run_cli(argv, {}) == 0
+        assert backend.hits[f"/v1/{step}"] >= 1
+        assert json.loads(output.read_text(encoding="utf-8"))["document_id"] == "fixture"
+        assert f"warning [{kind}] " in capsys.readouterr().err
 
 
 # The CLI property: argv drawn from the real subcommands and flags, with file

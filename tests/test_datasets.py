@@ -116,6 +116,25 @@ class TestParseSquad:
             parse_squad(b"[" * 200_000)
         assert excinfo.value.path == "$"
 
+    @pytest.mark.parametrize(
+        "place, path",
+        [
+            (lambda p: p["data"][0]["paragraphs"][1], "data[0].paragraphs[1].context"),
+            (lambda p: p["data"][0]["paragraphs"][0]["qas"][1],
+             "data[0].paragraphs[0].qas[1].question"),
+            (lambda p: p["data"][0]["paragraphs"][0]["qas"][0]["answers"][0],
+             "data[0].paragraphs[0].qas[0].answers[0].text"),
+        ],
+    )
+    def test_blank_text_is_malformed_with_path(self, place, path):
+        payload = squad_payload()
+        node = place(payload)
+        key = path.rsplit(".", 1)[1]
+        node[key] = " \n\t"
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(json.dumps(payload))
+        assert excinfo.value.path == path
+
     def test_missing_paragraphs(self):
         with pytest.raises(MalformedDataset) as excinfo:
             parse_squad(b'{"data": [{"title": "x"}]}')

@@ -53,9 +53,6 @@ class TestDefaultLexicon:
                 assert not any(c.isspace() for c in term)
                 assert term
 
-    def test_version_comes_from_file(self):
-        assert default_lexicon().version == "lexicon_v1"
-
 
 class TestLoadLexicon:
     def test_unknown_domain_is_load_error(self, tmp_path):
@@ -93,7 +90,7 @@ class TestLoadLexicon:
         entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}
         entries["Music"] = frozenset({"melody"})
         with pytest.raises(LexiconFormatError):
-            DomainLexicon(entries=entries, version="x")
+            DomainLexicon(entries=entries)
 
     @pytest.mark.parametrize(
         "term",
@@ -105,11 +102,11 @@ class TestLoadLexicon:
         entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}
         entries["Gaming"] |= {term}
         with pytest.raises(LexiconFormatError):
-            DomainLexicon(entries=entries, version="x")
+            DomainLexicon(entries=entries)
 
     def test_later_edits_to_the_entries_change_nothing(self):
         entries = {domain: {f"t{i}" for i in range(12)} for domain in DOMAINS}
-        lexicon = DomainLexicon(entries=entries, version="x")
+        lexicon = DomainLexicon(entries=entries)
         entries["Gaming"].add("zoning")
         entries["Music"] = set()
         assert len(lexicon.entries["Music"]) == 12
@@ -169,7 +166,6 @@ class TestClassify:
                 **dict(lexicon.entries),
                 "Gaming": lexicon.entries["Gaming"] | {"zoning"},
             },
-            version="extended",
         )
         after = lexicon_hits(context, extended)
         for domain in DOMAINS:
@@ -190,7 +186,6 @@ _SHARED = DomainLexicon(
         "Gaming": _PACKAGED.entries["Gaming"] | {"football", "e-sport"},
         "Sports": _PACKAGED.entries["Sports"] | {"e-sport"},
     },
-    version="shared",
 )
 _TERMS = sorted(set().union(*_SHARED.entries.values()))
 _WORDS = st.one_of(

@@ -1,29 +1,37 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import statistics
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from faqgen.chunker import Chunk, segment_sentences
+from conftest import CannedBackend, serve_in_thread
+from faqgen.chunker import Chunk, SourceDocument, segment_sentences
+from faqgen.domains import InvalidDomain
 from faqgen.gateway import (
     AnswerPhrase,
     BackendEndpointSet,
     BackendUnavailable,
     EmptyGeneration,
+    GatewayError,
     GeneratedQuestion,
     RequestRejected,
     complete_answer,
     extract_answer_phrase,
     generate_questions,
+    identify_domain,
     post_json,
     stub_answer_phrase,
     stub_complete_answer,
     stub_question_texts,
 )
+from faqgen.pipeline import FaqResult, PipelineConfig, run
 from faqgen.stubserver import create_server
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
@@ -440,3 +448,89 @@ class TestProxyEnvironment:
         assert reply == {"domain": "Music"}
         assert backend.requests == [("/v1/domain", {"context": "x"})]
         assert proxy.requests == []
+
+
+# Replies a remote backend might send. Text may hold an escaped lone
+# surrogate: json.dumps escapes it, so the body itself is ASCII.
+REPLY_TEXT = st.one_of(
+    st.sampled_from(["Music", "Gaming", "What is it?", "dogs bark", "It is.", " ", ""]),
+    st.text(max_size=12),
+    st.text(st.characters(categories=["Cs", "Lu", "Zs"]), min_size=1, max_size=4),
+)
+JSON_REPLY = st.recursive(
+    st.none() | st.booleans() | st.integers() | REPLY_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["error", "domain", "questions"]) | st.text(max_size=4),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+STEPS = ("domain", "questions", "answer_phrase", "complete_answer")
+REPLY_KEYS = {"domain": "domain", "questions": "questions", "answer_phrase": "answer_phrase",
+              "complete_answer": "answer"}
+
+
+def reply_body(step: str) -> st.SearchStrategy:
+    """A reply body for *step*: mostly of the step's shape or an error."""
+    key = REPLY_KEYS[step]
+    text = st.lists(REPLY_TEXT, max_size=3) if step == "questions" else REPLY_TEXT
+    return st.one_of(
+        st.builds(json.dumps, st.fixed_dictionaries({key: text})),
+        st.builds(json.dumps, st.fixed_dictionaries({"error": REPLY_TEXT})),
+        st.builds(json.dumps, JSON_REPLY),
+        st.sampled_from([b"[" * 100_000, b"\xff\xfe", b""]),
+        st.binary(max_size=30),
+    )
+
+
+# Any status, 1xx and 3xx too: the canned backend sends no Location header,
+# so no redirect is followed.
+STATUS = st.sampled_from([200, 200, 200, 200, 422, 500, 204, 301, 100]) | st.integers(100, 599)
+
+
+@pytest.fixture(scope="module")
+def any_reply_backend():
+    server = CannedBackend({})
+    serve_in_thread(server)
+    yield f"http://127.0.0.1:{server.server_address[1]}", server
+    server.shutdown()
+    server.server_close()
+
+
+class TestAnyReplyProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(replies=st.fixed_dictionaries(
+        {step: st.tuples(STATUS, reply_body(step)) for step in STEPS}
+    ))
+    def test_each_step_returns_or_raises_gateway_error(self, any_reply_backend, replies):
+        url, server = any_reply_backend
+        server.script = {f"/v1/{step}": [reply] for step, reply in replies.items()}
+        endpoints = BackendEndpointSet(
+            **{f"{step}_url": f"{url}/v1/{step}" for step in STEPS},
+            max_retries=0, timeout_ms=2000,
+        )
+        chunk = chunk_of(THREE_SENTENCES)
+        question = GeneratedQuestion(chunk_index=0, q_index=0, text="What about dogs?")
+        steps = [
+            lambda: [identify_domain(chunk.context, endpoints=endpoints)],
+            lambda: [q.text for q in generate_questions(chunk, "Gaming", endpoints=endpoints)],
+            lambda: [extract_answer_phrase(chunk, question, endpoints).text],
+            lambda: [
+                complete_answer(chunk, question, AnswerPhrase("dogs"), endpoints).text
+            ],
+        ]
+        for step, call in zip(STEPS, steps):
+            try:
+                texts = call()
+            except GatewayError:
+                continue
+            except InvalidDomain:
+                assert step == "domain"
+                continue
+            for text in texts:
+                text.encode("utf-8")
+        result = run(
+            SourceDocument.from_text("doc", THREE_SENTENCES),
+            PipelineConfig(endpoints=endpoints, chunk_size_words=3),
+        )
+        assert isinstance(result, FaqResult)
+        result.to_json().encode("utf-8")

@@ -11,14 +11,11 @@ from faqgen.reviews import (
     REVIEW_HEADER,
     DomainAggregate,
     DuplicateReview,
-    EmptyDomain,
     MalformedSheet,
     ReviewRecord,
     aggregate,
-    domain_averages,
     format_report,
     read_review_sheet,
-    reviewer_stddevs,
 )
 from oracles import oracle_mean_rounded, oracle_pstdev
 
@@ -27,6 +24,15 @@ def record(doc, domain, reviewer, scores):
     return ReviewRecord(
         document_id=doc, domain=domain, reviewer_id=reviewer, scores=tuple(scores)
     )
+
+
+# The figures aggregate() reports, keyed by domain.
+def domain_averages(records):
+    return {a.domain: a.averages for a in aggregate(records)}
+
+
+def reviewer_stddevs(records):
+    return {a.domain: a.stddevs for a in aggregate(records)}
 
 
 class TestDomainAverages:
@@ -69,11 +75,6 @@ class TestDomainAverages:
             for q in range(5):
                 expected = oracle_mean_rounded([r.scores[q] for r in rows])
                 assert averages[domain][q] == expected
-
-    def test_requested_missing_domain_raises(self):
-        records = [record("d1", "Gaming", "r1", [5, 5, 5, 5, 5])]
-        with pytest.raises(EmptyDomain):
-            domain_averages(records, domains=["Music"])
 
     def test_permutation_invariance(self):
         rng = random.Random(9)

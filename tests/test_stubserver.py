@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import socket
+import string
+import struct
 import sys
 
 import pytest
@@ -9,6 +13,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import serve_in_thread
 from faqgen.chunker import Chunk, SourceDocument, segment_sentences
 from faqgen.domains import classify, default_lexicon
 from faqgen.gateway import (
@@ -192,13 +197,19 @@ def raw_post(url: str, head: str, body: str) -> tuple[bytes, dict]:
     """Send *head* and *body* on one socket and return the reply's status
     code and JSON body."""
     with connect(url) as sock:
-        sock.sendall(f"{head}\r\n\r\n{body}".encode("ascii"))
+        sock.sendall(f"{head}\r\n\r\n{body}".encode("latin-1"))
         status, payload = read_reply(sock)
     return status, json.loads(payload)
 
 
 class TestFraming:
-    @pytest.mark.parametrize("length", ["abc", "-5"])
+    # int() takes "1_0" as 10 and "+2" as 2; "²" is a digit to str.isdigit().
+    # An empty length or a second one leaves the body's end in doubt.
+    @pytest.mark.parametrize(
+        "length",
+        ["abc", "-5", "1_0", "+2", "\xb2", "0x2", "",
+         pytest.param("2\r\nContent-Length: 1", id="twice")],
+    )
     def test_bad_content_length_400(self, stub_server_url, length):
         status, payload = raw_post(
             stub_server_url, f"POST /v1/domain HTTP/1.0\r\nContent-Length: {length}", "{}"
@@ -325,3 +336,175 @@ class TestBind:
         port = int(stub_server_url.rsplit(":", 1)[1])
         with pytest.raises(BindFailure):
             create_server("127.0.0.1", port)
+
+
+# Every status the stub server sends, as the README lists them.
+DOCUMENTED_STATUSES = {200, 400, 404, 413, 414, 422, 431, 501, 505}
+
+
+def exchange(url: str, request: bytes) -> bytes:
+    """Send *request*, shut down the socket's write side and return every
+    byte the server sends before it closes the connection."""
+    with connect(url) as sock:
+        try:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server replied and closed before reading it all
+        data = b""
+        try:
+            while chunk := sock.recv(65536):
+                data += chunk
+        except ConnectionResetError:
+            pass  # it closed with unread request bytes, after its reply
+    return data
+
+
+def only_reply(data: bytes) -> tuple[int, dict]:
+    """The status and JSON body of *data*, which must be exactly one
+    HTTP/1.1 reply framed by its Content-Length."""
+    head, separator, body = data.partition(b"\r\n\r\n")
+    assert separator, data[:200]
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    version, status, _ = status_line.split(" ", 2)
+    assert version == "HTTP/1.1"
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert headers["Content-Type"] == "application/json; charset=utf-8"
+    assert len(body) == int(headers["Content-Length"]), "more or less than one reply"
+    return int(status), json.loads(body)
+
+
+def health_ok(url: str) -> bool:
+    return only_reply(exchange(url, b"GET /v1/health HTTP/1.1\r\n\r\n")) == (200, {"status": "ok"})
+
+
+class TestHttpErrors:
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            pytest.param(b"GARBAGE\r\n\r\n", 400, id="one-word"),
+            pytest.param(b"\r\n", 400, id="blank"),
+            pytest.param(b"POST /v1/domain\r\n\r\n", 400, id="no-version-post"),
+            # A two-word GET is HTTP/0.9 to http.server, which sends no status line.
+            pytest.param(b"GET /v1/health\r\n\r\n", 400, id="no-version-get"),
+            pytest.param(b"GET /v1/health HTTP/0.8\r\n\r\n", 400, id="http-0.8"),
+            pytest.param(b"GET /v1/health HTTP/2.0\r\n\r\n", 505, id="http-2"),
+            pytest.param(
+                b"PUT /v1/domain HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501, id="put"
+            ),
+            pytest.param(b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, id="long-line"),
+            pytest.param(
+                b"GET /v1/health HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431,
+                id="long-header",
+            ),
+            pytest.param(
+                b"GET /v1/health HTTP/1.1\r\n" + b"X-Many: y\r\n" * 101 + b"\r\n", 431,
+                id="many-headers",
+            ),
+        ],
+    )
+    def test_json_error_with_status_line(self, stub_server_url, request_bytes, status):
+        reply = only_reply(exchange(stub_server_url, request_bytes))
+        assert reply[0] == status
+        assert list(reply[1]) == ["error"] and isinstance(reply[1]["error"], str)
+        assert health_ok(stub_server_url)
+
+    def test_client_reset_prints_no_traceback(self):
+        body = json.dumps({"context": "Cats sleep daily. " * 20_000}).encode("ascii")
+        request = b"POST /v1/domain HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+        # A server of its own: server_close() joins its handler threads, so
+        # all they print has reached stderr before it is read.
+        server = create_server("127.0.0.1", 0)
+        serve_in_thread(server)
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                for _ in range(3):
+                    with connect(url) as sock:
+                        # Linger 0: close() resets the connection at once.
+                        sock.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                        )
+                        sock.sendall(request)
+                assert health_ok(url)
+            finally:
+                server.shutdown()
+                server.server_close()
+        assert err.getvalue() == ""
+
+
+LATIN1_LINE = st.text(st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=30)
+TOKEN = st.text(string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~", min_size=1, max_size=12)
+REQUEST_LINE = st.one_of(
+    st.builds(
+        lambda *words: " ".join(word for word in words if word),
+        st.sampled_from(["GET", "POST", "POST", "POST", "PUT", "HEAD", "get", ""]) | TOKEN,
+        st.sampled_from(["/v1/health", "/v1/domain", "/v1/questions", "/v1/answer_phrase",
+                         "/v1/complete_answer", "/", "//v1/health", "/v1/nothing", ""])
+        | LATIN1_LINE.filter(lambda text: " " not in text),
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9", "HTTP/1",
+                         "http/1.1", "HTTP/1.1.1", "HTTP/01.1", ""]),
+    ),
+    LATIN1_LINE,
+)
+HEADER = st.tuples(
+    st.sampled_from(["Host", "Connection", "Content-Type", "Transfer-Encoding"]) | TOKEN,
+    st.sampled_from(["close", "keep-alive", "chunked", "application/json"]) | LATIN1_LINE,
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+PROTOCOL_BODY = st.fixed_dictionaries(
+    {},
+    optional={
+        "context": st.sampled_from([CONTEXT, "", "\ud800 Hello world."]) | st.text(max_size=40),
+        "domain": st.sampled_from(["Music", "Gaming", "Astrology"]),
+        "cap": st.sampled_from([1, 3, 0, True, "2"]),
+        "question": st.sampled_from(["What does the passage state about dogs?", ""]),
+        "answer_phrase": st.sampled_from(["dogs bark", " "]),
+    },
+)
+BODY = st.one_of(
+    st.builds(lambda body: json.dumps(body).encode("ascii"), PROTOCOL_BODY),
+    st.builds(lambda value: json.dumps(value).encode("ascii"), JSON_VALUE),
+    st.binary(max_size=40),
+)
+# A Content-Length below the body's length would leave the rest to be read
+# as a second request, so every declared length covers the body, or is one
+# the server rejects before reading.
+CONTENT_LENGTH = st.sampled_from(["exact", "exact", "over", "twice", None, "1_0", "+2", "-1",
+                                  "x", "", str(MAX_BODY_BYTES + 1)])
+
+
+@st.composite
+def raw_requests(draw) -> bytes:
+    body = draw(BODY)
+    length = draw(CONTENT_LENGTH)
+    headers = draw(st.lists(HEADER, max_size=4))
+    if length is None:
+        body = b""
+    else:
+        declared = {"exact": len(body), "over": len(body) + 3}.get(length, length)
+        if length == "twice":
+            declared = f"{len(body)}\r\nContent-Length: {len(body) + 1}"
+        headers.insert(0, ("Content-Length", str(declared)))
+    head = draw(REQUEST_LINE) + "\r\n" + "".join(f"{name}: {value}\r\n" for name, value in headers)
+    return (head + "\r\n").encode("latin-1") + body
+
+
+class TestAnyRequestProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(request_bytes=raw_requests())
+    def test_one_json_reply_and_no_traceback(self, stub_server_url, request_bytes):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            # The server closes only after any traceback is printed.
+            status, payload = only_reply(exchange(stub_server_url, request_bytes))
+            assert health_ok(stub_server_url)
+        assert status in DOCUMENTED_STATUSES
+        if status != 200:
+            assert list(payload) == ["error"] and isinstance(payload["error"], str)
+        assert "Traceback" not in err.getvalue()
