@@ -58,27 +58,32 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _require_file(path: str) -> Path:
-    file_path = Path(path)
-    if not file_path.is_file():
+def _require_file(path: str) -> str:
+    """*path* as given, once it names a file, so errors name it as given."""
+    if not Path(path).is_file():
         raise UsageError(f"file not found: {path}")
-    return file_path
+    return path
+
+
+def _read_text(path: str) -> str:
+    """The text of the UTF-8 file at *path*; other bytes raise a ValueError
+    that names the file and the offset of the first bad byte."""
+    try:
+        return Path(_require_file(path)).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
 
 
 def _read_document(path: str) -> SourceDocument:
-    file_path = _require_file(path)
-    return SourceDocument.from_text(file_path.stem, file_path.read_text(encoding="utf-8"))
+    return SourceDocument.from_text(Path(path).stem, _read_text(path))
 
 
 def _config_values(config_flag: str | None, environment: Mapping[str, str]) -> dict:
     path = config_flag or environment.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    file_path = _require_file(path)
     values: dict = {}
-    for number, raw_line in enumerate(
-        file_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for number, raw_line in enumerate(_read_text(path).splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,7 +177,7 @@ def _cmd_serve_stub(args: argparse.Namespace, environment: Mapping[str, str]) ->
 
 
 def _cmd_dataset_squad_group(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    records = parse_squad(_require_file(args.squad).read_bytes())
+    records = parse_squad(_read_text(args.squad))
     lexicon = load_lexicon(_require_file(args.lexicon)) if args.lexicon else default_lexicon()
     tables, shortfalls = build_qg_datasets(
         records, lambda context: classify(context, lexicon), floor=args.floor
@@ -188,7 +193,7 @@ def _cmd_dataset_squad_group(args: argparse.Namespace, environment: Mapping[str,
 
 
 def _cmd_dataset_build_ae(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    records = parse_squad(_require_file(args.squad).read_bytes())
+    records = parse_squad(_read_text(args.squad))
     custom = read_custom_table(_require_file(args.custom)) if args.custom else []
     rows = build_ae_dataset(records, custom)
     write_answer_table(args.output, rows, include_complete=False)

@@ -192,61 +192,9 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic stub logic (the reference functions behind the stub handlers)
-# ---------------------------------------------------------------------------
-
-
-def _anchor_token(question_text: str) -> str | None:
-    tokens = content_token_list(question_text)
-    return tokens[-1] if tokens else None
-
-
-def _select_sentence(sentences: Sequence[str], question_text: str) -> str:
-    """The first sentence containing the question's anchor token, or the
-    first sentence when nothing matches."""
-    anchor = _anchor_token(question_text)
-    if anchor is not None:
-        for sentence in sentences:
-            if anchor in content_token_list(sentence):
-                return sentence
-    return sentences[0]
-
-
-def stub_question_texts(sentences: Sequence[str], cap: int) -> list[str]:
-    """One templated question per content-bearing sentence among the first *cap*."""
-    texts: list[str] = []
-    for sentence in sentences[:cap]:
-        tokens = content_token_list(sentence)
-        if not tokens:
-            continue
-        texts.append(QUESTION_TEMPLATE_V1.format(anchor=tokens[0]))
-    return texts
-
-
-def stub_answer_phrase(sentences: Sequence[str], question_text: str) -> str:
-    """First six content tokens of the sentence matching the question's anchor."""
-    sentence = _select_sentence(sentences, question_text)
-    tokens = content_token_list(sentence)[:ANSWER_PHRASE_TOKEN_LIMIT]
-    if not tokens:
-        # stopword-only sentence: fall back to its plain tokens
-        tokens = word_tokens(sentence)[:ANSWER_PHRASE_TOKEN_LIMIT]
-    if not tokens:
-        raise EmptyGeneration(f"no usable tokens in sentence {sentence!r}")
-    return " ".join(tokens)
-
-
-def stub_complete_answer(sentences: Sequence[str], question_text: str) -> str:
-    """The full source sentence the phrase was drawn from, punctuation ensured."""
-    sentence = _select_sentence(sentences, question_text)
-    if sentence[-1] not in TERMINALS:
-        sentence += "."
-    return sentence
-
-
-# ---------------------------------------------------------------------------
-# Stub handlers: one wire-protocol request body in, one reply body out.
-# In-process the gateway also passes the chunk's sentences; the stub server
-# passes None, and the handler splits the request's context itself.
+# Stub handlers, one per step: one wire-protocol request body in, one reply
+# body out. In-process the gateway also passes the chunk's sentences; the stub
+# server passes None, and the handler splits the request's context itself.
 # Invalid requests raise RequestRejected, which the stub server sends as 422.
 # ---------------------------------------------------------------------------
 
@@ -270,6 +218,8 @@ def _domain_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences
 
 
 def _questions_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
+    """One templated question per content-bearing sentence among the first
+    *cap*, about its first content token."""
     context = _required_text(body, "context")
     domain = body.get("domain", "")
     if domain not in DOMAINS:
@@ -277,23 +227,44 @@ def _questions_stub(body: dict, lexicon: DomainLexicon | None, sentences: Senten
     cap = body.get("cap", DEFAULT_QUESTION_CAP)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise RequestRejected(f"cap must be an integer >= 1, got {cap!r}")
-    return {"questions": stub_question_texts(_split(context, sentences), cap)}
+    questions = []
+    for sentence in _split(context, sentences)[:cap]:
+        tokens = content_token_list(sentence)
+        if tokens:
+            questions.append(QUESTION_TEMPLATE_V1.format(anchor=tokens[0]))
+    return {"questions": questions}
+
+
+def _answer_source(body: dict, sentences: Sentences) -> tuple[str, list[str]]:
+    """The sentence a stub answer comes from, with its content tokens: the
+    first sentence holding the question's anchor (its last content token),
+    else the first sentence."""
+    context = _required_text(body, "context")
+    anchor = content_token_list(_required_text(body, "question"))[-1:]
+    first = None
+    for sentence in _split(context, sentences):
+        tokens = content_token_list(sentence)
+        if not anchor or anchor[0] in tokens:
+            return sentence, tokens
+        first = first or (sentence, tokens)
+    return first
 
 
 def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
-    context = _required_text(body, "context")
-    question = _required_text(body, "question")
-    try:
-        return {"answer_phrase": stub_answer_phrase(_split(context, sentences), question)}
-    except EmptyGeneration as exc:
-        raise RequestRejected(str(exc)) from exc
+    """The first six content tokens of the source sentence; a stopword-only
+    sentence gives its first six plain tokens."""
+    sentence, tokens = _answer_source(body, sentences)
+    tokens = (tokens or word_tokens(sentence))[:ANSWER_PHRASE_TOKEN_LIMIT]
+    if not tokens:
+        raise RequestRejected(f"no usable tokens in sentence {sentence!r}")
+    return {"answer_phrase": " ".join(tokens)}
 
 
 def _complete_answer_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
-    context = _required_text(body, "context")
-    question = _required_text(body, "question")
+    """The full source sentence the phrase was drawn from, punctuation ensured."""
+    sentence, _ = _answer_source(body, sentences)
     _required_text(body, "answer_phrase")
-    return {"answer": stub_complete_answer(_split(context, sentences), question)}
+    return {"answer": sentence if sentence[-1] in TERMINALS else sentence + "."}
 
 
 # Keyed by step name: the stub server serves each at POST /v1/<step>, and a

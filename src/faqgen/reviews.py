@@ -137,7 +137,7 @@ def read_review_sheet(path: str | Path) -> list[ReviewRecord]:
         lambda document_id, domain, reviewer_id, *cells: ReviewRecord(
             document_id, domain, reviewer_id, tuple(map(int, cells))  # type: ignore[arg-type]
         ),
-        MalformedSheet,
+        lambda detail: MalformedSheet(f"{path}: {detail}"),
     )
 
 

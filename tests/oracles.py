@@ -177,3 +177,74 @@ def oracle_lexicon_hits(context: str, entries: dict[str, frozenset[str]]) -> dic
             if token in terms:
                 hits[domain] += 1
     return hits
+
+
+def oracle_plain_tokens(text: str) -> list[str]:
+    """``oracle_tokens`` with stopwords kept."""
+    tokens = []
+    for raw in text.split():
+        start, stop = 0, len(raw)
+        while start < stop and raw[start] in ORACLE_PUNCT:
+            start += 1
+        while stop > start and raw[stop - 1] in ORACLE_PUNCT:
+            stop -= 1
+        if start < stop:
+            tokens.append(raw[start:stop].lower())
+    return tokens
+
+
+def oracle_domain(context: str, entries: dict[str, frozenset[str]]) -> str:
+    """The domain with the most lexicon hits, the first listed on a tie, and
+    the generic domain when nothing hits. *entries* lists the domains in
+    canonical order."""
+    best_domain = "News and Social Concern"
+    best_hits = 0
+    for domain, hits in oracle_lexicon_hits(context, entries).items():
+        if hits > best_hits:
+            best_domain = domain
+            best_hits = hits
+    return best_domain
+
+
+def oracle_stub_questions(context: str, cap: int) -> list[str]:
+    """One question per sentence among the first *cap* that has a content
+    token, about its first content token."""
+    questions = []
+    for sentence in oracle_sentences(context)[:cap]:
+        tokens = oracle_tokens(sentence)
+        if tokens:
+            questions.append("What does the passage state about " + tokens[0] + "?")
+    return questions
+
+
+def oracle_stub_source(context: str, question: str) -> str:
+    """The first sentence holding the question's last content token, else
+    the first sentence."""
+    sentences = oracle_sentences(context)
+    anchors = oracle_tokens(question)
+    if anchors:
+        for sentence in sentences:
+            if anchors[-1] in oracle_tokens(sentence):
+                return sentence
+    return sentences[0]
+
+
+def oracle_stub_answer_phrase(context: str, question: str) -> str | None:
+    """The first six content tokens of the source sentence, or its first six
+    tokens when it has no content token; None when it has no token at all."""
+    sentence = oracle_stub_source(context, question)
+    tokens = oracle_tokens(sentence)
+    if not tokens:
+        tokens = oracle_plain_tokens(sentence)
+    if not tokens:
+        return None
+    return " ".join(tokens[:6])
+
+
+def oracle_stub_answer(context: str, question: str) -> str:
+    """The source sentence, with a '.' added when it does not end in a
+    terminal."""
+    sentence = oracle_stub_source(context, question)
+    if sentence[-1] in ".!?":
+        return sentence
+    return sentence + "."

@@ -83,6 +83,16 @@ class TestGenerate:
         parsed = json.loads(expected)
         assert len(parsed["faqs"]) == 2
 
+    def test_python_dash_m_is_the_cli(self, doc_file, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(faqgen.__file__).parents[1]))
+        argv = ["generate", "--input", str(doc_file), "--count", "2"]
+        module = subprocess.run(
+            [sys.executable, "-m", "faqgen", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run_cli(argv, {}) == module.returncode == 0
+        assert module.stdout == capsys.readouterr().out
+
     def test_stdout_when_no_output_flag(self, doc_file, config_file, capsys):
         code = run_cli(
             ["generate", "--input", str(doc_file), "--count", "1",
@@ -410,7 +420,26 @@ class TestMalformedInputExits1:
         sheet = tmp_path / "sheet.csv"
         sheet.write_text(REVIEW_HEADER_LINE + row + "\n", encoding="utf-8")
         assert run_cli(["eval", "aggregate", "--input", str(sheet)], {}) == 1
-        assert one_error_line(capsys.readouterr().err).startswith(detail)
+        assert one_error_line(capsys.readouterr().err).startswith(f"{sheet}: {detail}")
+
+    def test_eval_aggregate_bad_header_names_file(self, tmp_path, capsys):
+        sheet = tmp_path / "sheet.csv"
+        sheet.write_text("nope\n", encoding="utf-8")
+        assert run_cli(["eval", "aggregate", "--input", str(sheet)], {}) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"{sheet}: line 1: expected header ["
+        )
+
+    def test_build_ae_non_utf8_squad_names_file_and_offset(self, tmp_path, capsys):
+        squad = tmp_path / "squad.json"
+        squad.write_bytes(b'{"data": []}\xff')
+        output = tmp_path / "ae.csv"
+        argv = ["dataset", "build-ae", "--squad", str(squad), "--output", str(output)]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{squad}: not UTF-8 at byte offset 12 (invalid start byte)"
+        )
+        assert not output.exists()
 
     @pytest.mark.parametrize("row", [",Q?,phrase,Done.", "Ctx.,,phrase,Done.", "Ctx.,Q?,,Done."])
     @pytest.mark.parametrize("command", ["build-ac", "build-ae"])

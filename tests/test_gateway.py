@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import CannedBackend, serve_in_thread
 from faqgen.chunker import Chunk, SourceDocument, segment_sentences
-from faqgen.domains import InvalidDomain
+from faqgen.domains import InvalidDomain, default_lexicon
 from faqgen.gateway import (
     AnswerPhrase,
     BackendEndpointSet,
@@ -21,18 +21,23 @@ from faqgen.gateway import (
     EmptyGeneration,
     GatewayError,
     GeneratedQuestion,
+    STUB_HANDLERS,
     RequestRejected,
     complete_answer,
     extract_answer_phrase,
     generate_questions,
     identify_domain,
     post_json,
-    stub_answer_phrase,
-    stub_complete_answer,
-    stub_question_texts,
 )
 from faqgen.pipeline import FaqResult, PipelineConfig, run
 from faqgen.stubserver import create_server
+from oracles import (
+    oracle_domain,
+    oracle_stub_answer,
+    oracle_stub_answer_phrase,
+    oracle_stub_questions,
+    oracle_stub_source,
+)
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
 
@@ -52,6 +57,12 @@ MARKET_RESEARCH_ANSWER = (
 
 def chunk_of(context: str, index: int = 0) -> Chunk:
     return Chunk(index=index, sentences=tuple(segment_sentences(context)))
+
+
+def stub_reply(step: str, **body) -> dict:
+    """The step's stub handler's reply to *body*, given the context's
+    sentences as the gateway gives them in-process."""
+    return STUB_HANDLERS[step](body, None, segment_sentences(body["context"]))
 
 
 def dead_endpoints(**kwargs) -> BackendEndpointSet:
@@ -98,8 +109,8 @@ class TestStubQuestions:
 
     def test_skips_content_free_sentences(self):
         context = "It is. Dogs bark loudly."
-        texts = stub_question_texts(segment_sentences(context), 5)
-        assert texts == ["What does the passage state about dogs?"]
+        reply = stub_reply("questions", context=context, domain="Gaming", cap=5)
+        assert reply == {"questions": ["What does the passage state about dogs?"]}
 
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -110,8 +121,8 @@ class TestStubQuestions:
             generate_questions(chunk_of("  "), "Gaming")
 
     def test_pure_function(self):
-        first = stub_question_texts(segment_sentences(THREE_SENTENCES), 5)
-        second = stub_question_texts(segment_sentences(THREE_SENTENCES), 5)
+        first = stub_reply("questions", context=THREE_SENTENCES, domain="Gaming", cap=5)
+        second = stub_reply("questions", context=THREE_SENTENCES, domain="Gaming", cap=5)
         assert first == second
 
 
@@ -136,18 +147,20 @@ class TestStubAnswerPhrase:
         context = (
             "Gardens bloom yearly with roses tulips daisies lilies orchids and ferns."
         )
-        text = stub_answer_phrase(
-            segment_sentences(context), "What does the passage state about gardens?"
+        reply = stub_reply(
+            "answer_phrase", context=context,
+            question="What does the passage state about gardens?",
         )
-        assert len(text.split()) == 6
+        assert len(reply["answer_phrase"].split()) == 6
 
     def test_stopword_only_sentence_uses_plain_tokens(self):
         context = "It is. Dogs bark loudly."
         # anchor absent everywhere -> first sentence, which has no content tokens
-        text = stub_answer_phrase(
-            segment_sentences(context), "What does the passage state about zebras?"
+        reply = stub_reply(
+            "answer_phrase", context=context,
+            question="What does the passage state about zebras?",
         )
-        assert text == "it is"
+        assert reply == {"answer_phrase": "it is"}
 
 
 class TestStubCompleteAnswer:
@@ -161,15 +174,92 @@ class TestStubCompleteAnswer:
 
     def test_appends_missing_terminal_punctuation(self):
         context = "Dogs bark loudly"
-        text = stub_complete_answer(
-            segment_sentences(context), "What does the passage state about dogs?"
+        reply = stub_reply(
+            "complete_answer", context=context,
+            question="What does the passage state about dogs?", answer_phrase="dogs",
         )
-        assert text == "Dogs bark loudly."
+        assert reply == {"answer": "Dogs bark loudly."}
 
     def test_stub_answers_are_verbatim_sentences(self):
-        for question_text in stub_question_texts(segment_sentences(THREE_SENTENCES), 5):
-            answer = stub_complete_answer(segment_sentences(THREE_SENTENCES), question_text)
-            assert answer in THREE_SENTENCES
+        questions = stub_reply("questions", context=THREE_SENTENCES, domain="Gaming", cap=5)
+        for question_text in questions["questions"]:
+            reply = stub_reply(
+                "complete_answer", context=THREE_SENTENCES,
+                question=question_text, answer_phrase="x",
+            )
+            assert reply["answer"] in THREE_SENTENCES
+
+
+# Content words (some lexicon terms), stopwords, tokens with edge punctuation,
+# a punctuation-only token and guarded abbreviations, with and without their
+# period: a sentence ending in "Dr" gets "Dr." and never ends there.
+STUB_WORDS = ["cats", "Dogs", "quantum", "music", "football", "melody", "the", "it",
+              "is", "of", "--", '"cats"', "(music)", "'quantum'", "--melody--",
+              "Cats,", "Dr", "Dr.", "e.g", "e.g.", "vs."]
+STUB_SENTENCE = st.builds(
+    lambda words, end: (lambda text: text[:1].upper() + text[1:])(" ".join(words)) + end,
+    st.lists(st.sampled_from(STUB_WORDS), min_size=1, max_size=7),
+    st.sampled_from([".", "!", "?", "", "...", '."', "?!"]),
+)
+STUB_CONTEXT = st.lists(STUB_SENTENCE, min_size=1, max_size=5).map(" ".join).filter(
+    lambda text: text.strip()
+)
+# Anchored in a context or outside every context ("zebras"), or with no
+# content token at all (stopwords and "--" only).
+STUB_QUESTION = st.lists(
+    st.sampled_from(["cats", "dogs", "melody", "zebras", "the", "it", "is", "--"]),
+    min_size=1, max_size=4,
+).map(lambda words: " ".join(words).capitalize() + "?")
+
+
+class TestStubHandlerOracles:
+    """Each step's stub handler, given the context's sentences in-process or
+    None as in the stub server, answers as the oracle built from
+    ``oracle_sentences`` and ``oracle_tokens`` says."""
+
+    @given(STUB_CONTEXT, STUB_QUESTION, st.integers(min_value=1, max_value=7))
+    @settings(max_examples=300, deadline=None)
+    def test_handlers_match_oracles(self, context, question, cap):
+        lexicon = default_lexicon()
+        expected = {
+            "domain": {"domain": oracle_domain(context, dict(lexicon.entries))},
+            "questions": {"questions": oracle_stub_questions(context, cap)},
+            "complete_answer": {"answer": oracle_stub_answer(context, question)},
+        }
+        phrase = oracle_stub_answer_phrase(context, question)
+        if phrase is not None:
+            expected["answer_phrase"] = {"answer_phrase": phrase}
+        body = {"context": context, "domain": "Gaming", "cap": cap,
+                "question": question, "answer_phrase": "x"}
+        for sentences in (segment_sentences(context), None):
+            for step, handler in STUB_HANDLERS.items():
+                if step in expected:
+                    assert handler(body, lexicon, sentences) == expected[step], step
+                else:
+                    source = oracle_stub_source(context, question)
+                    message = f"no usable tokens in sentence {source!r}"
+                    with pytest.raises(RequestRejected) as caught:
+                        handler(body, lexicon, sentences)
+                    assert str(caught.value) == message
+
+    @pytest.mark.parametrize("in_process", [True, False])
+    def test_answer_phrase_tokenizes_each_sentence_once(self, monkeypatch, in_process):
+        import faqgen.gateway
+
+        seen: list[str] = []
+        tokenize = faqgen.gateway.content_token_list
+
+        def counting(text: str) -> list[str]:
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(faqgen.gateway, "content_token_list", counting)
+        body = {"context": THREE_SENTENCES, "question": "What does the passage state about dogs?"}
+        sentences = segment_sentences(THREE_SENTENCES) if in_process else None
+        reply = STUB_HANDLERS["answer_phrase"](body, None, sentences)
+        assert reply == {"answer_phrase": "dogs bark loudly"}
+        assert "Dogs bark loudly." in seen
+        assert len(seen) == len(set(seen)), seen
 
 
 class TestEndpointSetValidation:

@@ -232,7 +232,7 @@ class TestSheetIo:
     def test_bad_row_names_its_line(self, tmp_path, row, detail):
         path = tmp_path / "sheet.csv"
         self._write_sheet(path, [["doc0", "Gaming", "r1", 8, 9, 7, 6, 10], row])
-        with pytest.raises(MalformedSheet, match=r"^" + re.escape(detail)):
+        with pytest.raises(MalformedSheet, match=r"^" + re.escape(f"{path}: {detail}")):
             read_review_sheet(path)
 
 

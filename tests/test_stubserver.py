@@ -18,10 +18,8 @@ from faqgen.chunker import Chunk, SourceDocument, segment_sentences
 from faqgen.domains import classify, default_lexicon
 from faqgen.gateway import (
     BackendEndpointSet,
+    STUB_HANDLERS,
     generate_questions,
-    stub_answer_phrase,
-    stub_complete_answer,
-    stub_question_texts,
 )
 from faqgen.pipeline import PipelineConfig, run
 from faqgen.stubserver import MAX_BODY_BYTES, BindFailure, create_server
@@ -127,9 +125,10 @@ class TestRoundTrip:
             {"context": CONTEXT, "domain": "Diaries and Daily Life", "cap": 5},
         )
         assert response.status_code == 200
-        assert response.json() == {
-            "questions": stub_question_texts(segment_sentences(CONTEXT), 5)
-        }
+        assert response.json() == STUB_HANDLERS["questions"](
+            {"context": CONTEXT, "domain": "Diaries and Daily Life", "cap": 5},
+            None, segment_sentences(CONTEXT),
+        )
 
     def test_domain_matches_lexicon_classifier(self, stub_server_url):
         context = "The quantum experiment used new laboratory technology."
@@ -141,17 +140,15 @@ class TestRoundTrip:
         phrase = post(
             stub_server_url, "/v1/answer_phrase", {"context": CONTEXT, "question": question}
         )
-        assert phrase.json() == {
-            "answer_phrase": stub_answer_phrase(segment_sentences(CONTEXT), question)
-        }
-        answer = post(
-            stub_server_url,
-            "/v1/complete_answer",
-            {"context": CONTEXT, "question": question, "answer_phrase": phrase.json()["answer_phrase"]},
+        assert phrase.json() == STUB_HANDLERS["answer_phrase"](
+            {"context": CONTEXT, "question": question}, None, segment_sentences(CONTEXT)
         )
-        assert answer.json() == {
-            "answer": stub_complete_answer(segment_sentences(CONTEXT), question)
-        }
+        body = {"context": CONTEXT, "question": question,
+                "answer_phrase": phrase.json()["answer_phrase"]}
+        answer = post(stub_server_url, "/v1/complete_answer", body)
+        assert answer.json() == STUB_HANDLERS["complete_answer"](
+            body, None, segment_sentences(CONTEXT)
+        )
 
     def test_gateway_client_against_stub_server_equals_in_process(self, stub_server_url):
         endpoints = BackendEndpointSet(
