@@ -7,14 +7,18 @@ of a guarded abbreviation (``ABBREVIATIONS_V1``); sentences are the trimmed
 texts between those ends. The sentences are then packed into chunks: a chunk
 closes at the first sentence at which its cumulative word count reaches the
 target size, so chunks never cut a sentence in half. A chunk keeps its
-sentences, so the in-process steps never split its text again.
+sentences, so the in-process steps never split its text again, and
+tokenizes each of them once for all its readers.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 DEFAULT_CHUNK_WORDS = 250
 
@@ -22,6 +26,21 @@ DEFAULT_CHUNK_WORDS = 250
 # stripping leading quotes or brackets) never ends a sentence. Any edit to the
 # list changes segmentation output and is therefore a breaking change.
 ABBREVIATIONS_V1 = frozenset({"Mr.", "Mrs.", "Dr.", "e.g.", "i.e.", "etc.", "vs."})
+
+# Version 1 stopword list, exactly 50 entries. Content tokens are the tokens
+# not in it, and scores are defined relative to it; editing it is a breaking
+# change.
+STOPWORDS_V1 = frozenset(
+    """
+    a an the and or but if then
+    is are was were be been being am
+    do does did has have had
+    will would can could should may might must
+    of to in on at by for with from as
+    it its this that these those
+    not no so such
+    """.split()
+)
 
 # Sentence-ending punctuation: it closes a sentence in segmentation and every
 # completed answer ends with one of these.
@@ -60,14 +79,43 @@ class Chunk:
     ``sentences`` are the document's sentence texts that fall in this chunk,
     as ``segment_sentences`` found them; ``context``, their single-space
     join, is the unit of text every downstream step works on.
+
+    What the steps derive from the sentences is computed on first use and
+    cached on the chunk: ``context``, ``sentence_tokens`` (a token list per
+    sentence) and ``content_counts``. ``pipeline.process_chunk`` calls
+    ``release`` when the chunk's steps are done, which keeps only
+    ``content_counts``, the one value ranking reads, so a document's token
+    lists and contexts do not all stay alive until ranking.
     """
 
     index: int
     sentences: tuple[str, ...]
 
-    @property
+    @cached_property
     def context(self) -> str:
         return " ".join(self.sentences)
+
+    @cached_property
+    def sentence_tokens(self) -> tuple[list[str], ...]:
+        """``word_tokens`` of each sentence, stopwords kept. ``context`` is
+        the single-space join of the stripped sentences, so together they
+        are ``word_tokens(context)``, in order."""
+        return tuple(map(word_tokens, self.sentences))
+
+    @cached_property
+    def content_counts(self) -> Counter[str]:
+        """Multiset of the context's content tokens, those not in
+        ``STOPWORDS_V1``."""
+        tokens = chain.from_iterable(self.sentence_tokens)
+        return Counter(token for token in tokens if token not in STOPWORDS_V1)
+
+    def release(self) -> None:
+        """Compute ``content_counts`` if not yet done, then drop the cached
+        ``context`` and ``sentence_tokens``; a later read computes them
+        again."""
+        self.content_counts
+        vars(self).pop("context", None)
+        vars(self).pop("sentence_tokens", None)
 
     @property
     def word_count(self) -> int:
@@ -84,10 +132,15 @@ def word_tokens(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]
 
     Tokens are whitespace-delimited runs with leading/trailing ASCII
     punctuation stripped; empties and members of *stopwords* are dropped.
+    The text is lowercased before it is split, which gives the same tokens
+    as lowercasing each stripped run: no character lowercases to whitespace
+    or ASCII punctuation, or changes whether it is either, and the one
+    context-dependent mapping (a final capital sigma) looks no further than
+    cased letters, which neither whitespace nor ASCII punctuation is.
     """
     tokens = []
-    for raw in text.split():
-        token = raw.strip(string.punctuation).lower()
+    for raw in text.lower().split():
+        token = raw.strip(string.punctuation)
         if token and token not in stopwords:
             tokens.append(token)
     return tokens

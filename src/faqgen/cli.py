@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
-from .chunker import DEFAULT_CHUNK_WORDS, SourceDocument, build_chunks
+from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks
 from .datasets import (
     DEFAULT_ROW_FLOOR,
     build_ac_dataset,
@@ -78,6 +79,16 @@ def _read_document(path: str) -> SourceDocument:
     return SourceDocument.from_text(Path(path).stem, _read_text(path))
 
 
+@contextmanager
+def _naming(path: str, error: type[ValueError] = ValueError):
+    """Prefix *path* to an *error* raised inside, which rejects the content
+    of the file at *path*, so that the error line names the file."""
+    try:
+        yield
+    except error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _config_values(config_flag: str | None, environment: Mapping[str, str]) -> dict:
     path = config_flag or environment.get(CONFIG_ENV_VAR)
     if not path:
@@ -134,7 +145,8 @@ def _cmd_generate(args: argparse.Namespace, environment: Mapping[str, str]) -> i
         worker_count=args.workers,
     )
     document = _read_document(args.input)
-    result = run(document, config)
+    with _naming(args.input, EmptyDocument):
+        result = run(document, config)
     payload = result.to_json()
     if args.output:
         Path(args.output).write_text(payload, encoding="utf-8")
@@ -149,7 +161,9 @@ def _cmd_chunk(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
         _config_values(args.config, environment), chunk_size_words=args.size
     )
     document = _read_document(args.input)
-    for chunk in build_chunks(document, config.chunk_size_words):
+    with _naming(args.input, EmptyDocument):
+        chunks = build_chunks(document, config.chunk_size_words)
+    for chunk in chunks:
         preview = " ".join(chunk.context.split()[:8])
         print(f"{chunk.index}\t{chunk.word_count}\t{preview}")
     return 0
@@ -161,7 +175,9 @@ def _cmd_classify(args: argparse.Namespace, environment: Mapping[str, str]) -> i
     )
     document = _read_document(args.input)
     lexicon = config_lexicon(config)
-    for chunk in build_chunks(document, config.chunk_size_words):
+    with _naming(args.input, EmptyDocument):
+        chunks = build_chunks(document, config.chunk_size_words)
+    for chunk in chunks:
         domain, warnings = chunk_domain(chunk, config, lexicon)
         print(f"{chunk.index}\t{domain}")
         _print_warnings(warnings)
@@ -177,11 +193,14 @@ def _cmd_serve_stub(args: argparse.Namespace, environment: Mapping[str, str]) ->
 
 
 def _cmd_dataset_squad_group(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    records = parse_squad(_read_text(args.squad))
+    text = _read_text(args.squad)
+    with _naming(args.squad):
+        records = parse_squad(text)
     lexicon = load_lexicon(_require_file(args.lexicon)) if args.lexicon else default_lexicon()
-    tables, shortfalls = build_qg_datasets(
-        records, lambda context: classify(context, lexicon), floor=args.floor
-    )
+    with _naming(args.squad):
+        tables, shortfalls = build_qg_datasets(
+            records, lambda context: classify(context, lexicon), floor=args.floor
+        )
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for domain, rows in tables.items():
@@ -193,7 +212,9 @@ def _cmd_dataset_squad_group(args: argparse.Namespace, environment: Mapping[str,
 
 
 def _cmd_dataset_build_ae(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    records = parse_squad(_read_text(args.squad))
+    text = _read_text(args.squad)
+    with _naming(args.squad):
+        records = parse_squad(text)
     custom = read_custom_table(_require_file(args.custom)) if args.custom else []
     rows = build_ae_dataset(records, custom)
     write_answer_table(args.output, rows, include_complete=False)
@@ -203,7 +224,8 @@ def _cmd_dataset_build_ae(args: argparse.Namespace, environment: Mapping[str, st
 
 def _cmd_dataset_build_ac(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
     custom = read_custom_table(_require_file(args.custom))
-    rows = build_ac_dataset(custom)
+    with _naming(args.custom):
+        rows = build_ac_dataset(custom)
     write_answer_table(args.output, rows, include_complete=True)
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
@@ -211,7 +233,9 @@ def _cmd_dataset_build_ac(args: argparse.Namespace, environment: Mapping[str, st
 
 def _cmd_eval_aggregate(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
     records = read_review_sheet(_require_file(args.input))
-    print(format_report(aggregate(records)))
+    with _naming(args.input):
+        aggregates = aggregate(records)
+    print(format_report(aggregates))
     return 0
 
 

@@ -215,7 +215,7 @@ def read_csv_table(
     A wrong header, a row with the wrong number of fields, a CSV syntax error
     or a record *make* rejects with a ``ValueError`` raises ``error(detail)``,
     where *detail* names the line of the file. Bytes that are not UTF-8 raise
-    ``UnicodeDecodeError``: the file is decoded in blocks, so no line is known.
+    it with the byte offset of the first bad byte in place of a line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -229,6 +229,12 @@ def read_csv_table(
                     raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
                 records.append(make(*cells))
         except UnicodeDecodeError:
+            # The file is decoded in blocks, and the error's offset is within
+            # its block; decoding the whole file gives the file's offset.
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
             raise
         except (csv.Error, ValueError) as exc:
             raise error(f"line {reader.line_num or 1}: {exc}") from exc

@@ -8,6 +8,7 @@ offline.
 
 from __future__ import annotations
 
+import io
 import string
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -128,9 +129,22 @@ def _parse_lexicon_lines(lines: Iterable[str]) -> DomainLexicon:
 
 
 def load_lexicon(path: str | Path) -> DomainLexicon:
-    """Load a tab-separated ``<domain>\\t<term>`` lexicon file."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_lexicon_lines(fh)
+    """Load a tab-separated ``<domain>\\t<term>`` lexicon file.
+
+    A malformed or non-UTF-8 file raises :class:`LexiconFormatError` naming
+    *path*; the file is decoded whole, so a bad byte's offset is the file's.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconFormatError(
+            f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})"
+        ) from None
+    try:
+        # Read as a text-mode file reads it: "\r\n" and "\r" end lines too.
+        return _parse_lexicon_lines(io.StringIO(text, newline=None))
+    except LexiconFormatError as exc:
+        raise LexiconFormatError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=1)
@@ -141,26 +155,33 @@ def default_lexicon() -> DomainLexicon:
         return _parse_lexicon_lines(fh)
 
 
-def lexicon_hits(context: str, lexicon: DomainLexicon) -> dict[str, int]:
-    """Token-occurrence hit count per domain for *context*."""
+def lexicon_hits(
+    context: str, lexicon: DomainLexicon, tokens: Iterable[str] | None = None
+) -> dict[str, int]:
+    """Token-occurrence hit count per domain for *context*. A caller that
+    already has ``word_tokens(context)`` passes them as *tokens*."""
     hits = dict.fromkeys(DOMAINS, 0)
     term_domains = lexicon.term_domains
-    for token in word_tokens(context):
+    for token in word_tokens(context) if tokens is None else tokens:
         for domain in term_domains.get(token, ()):
             hits[domain] += 1
     return hits
 
 
-def classify(context: str, lexicon: DomainLexicon | None = None) -> str:
+def classify(
+    context: str, lexicon: DomainLexicon | None = None, tokens: Iterable[str] | None = None
+) -> str:
     """Assign *context* one of the 17 domains by lexicon argmax.
 
     Ties break by canonical order, and a context hitting no term at all
-    lands in the generic domain.
+    lands in the generic domain. A caller that already has
+    ``word_tokens(context)``, such as a chunk's ``sentence_tokens``, passes
+    them as *tokens*.
     """
     if not context or not context.strip():
         raise EmptyContext("cannot classify blank context")
     lexicon = lexicon or default_lexicon()
-    hits = lexicon_hits(context, lexicon)
+    hits = lexicon_hits(context, lexicon, tokens)
     best_domain = GENERIC_DOMAIN
     best_hits = 0
     for domain in DOMAINS:

@@ -3,11 +3,13 @@
 Each step builds one request of the fixed JSON wire protocol. A remote HTTP
 backend answers it when the step has a URL; otherwise the built-in
 deterministic stub for that step does (``STUB_HANDLERS``, which the stub
-server also serves). In-process a stub reads the chunk's sentences; over
-HTTP it splits the request's context, which gives the same sentences.
-Either way the reply is parsed and normalised by the same code, so offline
-and HTTP runs give the same results. Stub outputs are pure functions of
-their inputs so end-to-end runs are reproducible offline.
+server also serves). In-process a stub reads the chunk's sentences and the
+tokens the chunk computed once for all steps (``Chunk.sentence_tokens``).
+Over HTTP it splits the request's context, which gives the same sentences,
+and tokenizes each sentence only when its scan reaches it. Either way the
+reply is parsed and normalised by the same code, so offline and HTTP runs
+give the same results. Stub outputs are pure functions of their inputs so
+end-to-end runs are reproducible offline.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import threading
 import time
 from dataclasses import dataclass
 from http.cookiejar import DefaultCookiePolicy
-from typing import Callable, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable
 
 import requests
 
-from .chunker import TERMINALS, Chunk, segment_sentences, word_tokens
+from .chunker import STOPWORDS_V1, TERMINALS, Chunk, segment_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
 from .ranker import content_token_list
 
@@ -193,12 +196,13 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
 
 # ---------------------------------------------------------------------------
 # Stub handlers, one per step: one wire-protocol request body in, one reply
-# body out. In-process the gateway also passes the chunk's sentences; the stub
-# server passes None, and the handler splits the request's context itself.
-# Invalid requests raise RequestRejected, which the stub server sends as 422.
+# body out. In-process the gateway also passes the request's chunk, and the
+# handler reads the chunk's sentences and their tokens, computed once for all
+# steps. The stub server passes None: the handler splits the request's context
+# and tokenizes each sentence only when its scan reaches it, since the answer
+# handlers stop at the question's sentence. Invalid requests raise
+# RequestRejected, which the stub server sends as 422.
 # ---------------------------------------------------------------------------
-
-Sentences = Sequence[str] | None
 
 
 def _required_text(body: dict, key: str) -> str:
@@ -208,16 +212,21 @@ def _required_text(body: dict, key: str) -> str:
     return value
 
 
-def _split(context: str, sentences: Sentences) -> Sequence[str]:
-    """The context's sentences: those given, else *context* split."""
-    return segment_sentences(context) if sentences is None else sentences
+def _tokenized(context: str, chunk: Chunk | None) -> Iterable[tuple[str, list[str]]]:
+    """Each sentence of *context* with its tokens (stopwords kept): the
+    chunk's, else *context* split, each sentence tokenized when reached."""
+    if chunk is None:
+        return ((sentence, word_tokens(sentence)) for sentence in segment_sentences(context))
+    return zip(chunk.sentences, chunk.sentence_tokens)
 
 
-def _domain_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
-    return {"domain": classify(_required_text(body, "context"), lexicon)}
+def _domain_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk | None) -> dict:
+    context = _required_text(body, "context")
+    tokens = None if chunk is None else chain.from_iterable(chunk.sentence_tokens)
+    return {"domain": classify(context, lexicon, tokens)}
 
 
-def _questions_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
+def _questions_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk | None) -> dict:
     """One templated question per content-bearing sentence among the first
     *cap*, about its first content token."""
     context = _required_text(body, "context")
@@ -228,48 +237,49 @@ def _questions_stub(body: dict, lexicon: DomainLexicon | None, sentences: Senten
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise RequestRejected(f"cap must be an integer >= 1, got {cap!r}")
     questions = []
-    for sentence in _split(context, sentences)[:cap]:
-        tokens = content_token_list(sentence)
-        if tokens:
-            questions.append(QUESTION_TEMPLATE_V1.format(anchor=tokens[0]))
+    for _, tokens in islice(_tokenized(context, chunk), cap):
+        anchor = next((token for token in tokens if token not in STOPWORDS_V1), None)
+        if anchor is not None:
+            questions.append(QUESTION_TEMPLATE_V1.format(anchor=anchor))
     return {"questions": questions}
 
 
-def _answer_source(body: dict, sentences: Sentences) -> tuple[str, list[str]]:
-    """The sentence a stub answer comes from, with its content tokens: the
-    first sentence holding the question's anchor (its last content token),
-    else the first sentence."""
+def _answer_source(body: dict, chunk: Chunk | None) -> tuple[str, list[str]]:
+    """The sentence a stub answer comes from, with its tokens: the first
+    sentence holding the question's anchor (its last content token), else
+    the first sentence. The anchor is never a stopword, so a sentence's
+    tokens hold it exactly when its content tokens do."""
     context = _required_text(body, "context")
     anchor = content_token_list(_required_text(body, "question"))[-1:]
     first = None
-    for sentence in _split(context, sentences):
-        tokens = content_token_list(sentence)
+    for sentence, tokens in _tokenized(context, chunk):
         if not anchor or anchor[0] in tokens:
             return sentence, tokens
         first = first or (sentence, tokens)
     return first
 
 
-def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
+def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk | None) -> dict:
     """The first six content tokens of the source sentence; a stopword-only
     sentence gives its first six plain tokens."""
-    sentence, tokens = _answer_source(body, sentences)
-    tokens = (tokens or word_tokens(sentence))[:ANSWER_PHRASE_TOKEN_LIMIT]
+    sentence, tokens = _answer_source(body, chunk)
+    content = [token for token in tokens if token not in STOPWORDS_V1]
+    tokens = (content or tokens)[:ANSWER_PHRASE_TOKEN_LIMIT]
     if not tokens:
         raise RequestRejected(f"no usable tokens in sentence {sentence!r}")
     return {"answer_phrase": " ".join(tokens)}
 
 
-def _complete_answer_stub(body: dict, lexicon: DomainLexicon | None, sentences: Sentences) -> dict:
+def _complete_answer_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk | None) -> dict:
     """The full source sentence the phrase was drawn from, punctuation ensured."""
-    sentence, _ = _answer_source(body, sentences)
+    sentence, _ = _answer_source(body, chunk)
     _required_text(body, "answer_phrase")
     return {"answer": sentence if sentence[-1] in TERMINALS else sentence + "."}
 
 
 # Keyed by step name: the stub server serves each at POST /v1/<step>, and a
 # step's URL field in BackendEndpointSet is <step>_url.
-STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None, Sentences], dict]] = {
+STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None, Chunk | None], dict]] = {
     "domain": _domain_stub,
     "questions": _questions_stub,
     "answer_phrase": _answer_phrase_stub,
@@ -286,16 +296,16 @@ def _dispatch(
     step: str,
     request: dict,
     endpoints: BackendEndpointSet | None,
+    chunk: Chunk,
     lexicon: DomainLexicon | None = None,
-    sentences: Sentences = None,
 ) -> tuple[dict, str]:
     """The reply to *request* and who sent it: the step's remote backend when
-    it has a URL, else its built-in stub, which reads *sentences* as the
-    sentences of the request's context."""
+    it has a URL, else its built-in stub, which reads *chunk*, the chunk
+    whose context the request carries."""
     url = getattr(endpoints, f"{step}_url") if endpoints else None
     if url:
         return post_json(url, request, endpoints), url
-    return STUB_HANDLERS[step](request, lexicon, sentences), f"{step} stub"
+    return STUB_HANDLERS[step](request, lexicon, chunk), f"{step} stub"
 
 
 def _is_text(value: object) -> bool:
@@ -323,17 +333,17 @@ def _reply_text(reply: dict, key: str, source: str) -> str:
 
 
 def identify_domain(
-    context: str,
+    chunk: Chunk,
     lexicon: DomainLexicon | None = None,
     endpoints: BackendEndpointSet | None = None,
 ) -> str:
-    """Assign *context* one of the 17 domains.
+    """Assign *chunk* one of the 17 domains.
 
     The built-in stub is the lexicon classifier. The trimmed label must
     belong to the closed set, or :class:`~faqgen.domains.InvalidDomain` is
     raised.
     """
-    reply, source = _dispatch("domain", {"context": context}, endpoints, lexicon)
+    reply, source = _dispatch("domain", {"context": chunk.context}, endpoints, chunk, lexicon)
     return parse_domain(_reply_text(reply, "domain", source))
 
 
@@ -354,7 +364,7 @@ def generate_questions(
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     request = {"context": chunk.context, "domain": domain, "cap": cap}
-    reply, source = _dispatch("questions", request, endpoints, sentences=chunk.sentences)
+    reply, source = _dispatch("questions", request, endpoints, chunk)
     raw = reply.get("questions")
     if not isinstance(raw, list) or not all(_is_text(q) for q in raw):
         raise BackendUnavailable(f"{source} returned malformed questions body")
@@ -377,7 +387,7 @@ def extract_answer_phrase(
     if not chunk.context.strip():
         raise ValueError("context must be non-empty")
     request = {"context": chunk.context, "question": question.text}
-    reply, source = _dispatch("answer_phrase", request, endpoints, sentences=chunk.sentences)
+    reply, source = _dispatch("answer_phrase", request, endpoints, chunk)
     return AnswerPhrase(text=_reply_text(reply, "answer_phrase", source))
 
 
@@ -390,7 +400,7 @@ def complete_answer(
     """Elaborate *phrase* into a complete, readable answer sentence, ending
     in terminal punctuation ('.' is added when the reply has none)."""
     request = {"context": chunk.context, "question": question.text, "answer_phrase": phrase.text}
-    reply, source = _dispatch("complete_answer", request, endpoints, sentences=chunk.sentences)
+    reply, source = _dispatch("complete_answer", request, endpoints, chunk)
     text = _reply_text(reply, "answer", source)
     if text[-1] not in TERMINALS:
         text += "."

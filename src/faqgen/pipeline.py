@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .chunker import DEFAULT_CHUNK_WORDS, Chunk, SourceDocument, build_chunks
@@ -126,7 +126,7 @@ def chunk_domain(
     a ``ClassifierFallback`` warning says so.
     """
     try:
-        return identify_domain(chunk.context, lexicon, cfg.endpoints), []
+        return identify_domain(chunk, lexicon, cfg.endpoints), []
     except (GatewayError, InvalidDomain) as exc:
         warning = PipelineWarning(
             kind="ClassifierFallback",
@@ -134,7 +134,8 @@ def chunk_domain(
             f"({exc}); used lexicon fallback",
             chunk_index=chunk.index,
         )
-        return classify(chunk.context, lexicon), [warning]
+        tokens = chain.from_iterable(chunk.sentence_tokens)
+        return classify(chunk.context, lexicon, tokens), [warning]
 
 
 def process_chunk(
@@ -144,7 +145,9 @@ def process_chunk(
 
     Never fails the chunk on backend trouble: generation failure skips the
     whole chunk with a warning, per-question failures drop just that
-    question. Pairs come back ordered by q_index.
+    question. Pairs come back ordered by q_index. On return the chunk
+    keeps only the content counts ranking reads (``Chunk.release``), not
+    the context and sentence tokens the built-in stubs shared.
     """
     domain, warnings = chunk_domain(chunk, cfg, lexicon)
 
@@ -158,7 +161,7 @@ def process_chunk(
                 chunk_index=chunk.index,
             )
         )
-        return ChunkOutcome(domain, [], warnings)
+        questions = []
 
     pairs: list[QaPair] = []
     for question in questions:
@@ -176,6 +179,7 @@ def process_chunk(
             )
             continue
         pairs.append(QaPair(question=question, phrase=phrase, answer=answer))
+    chunk.release()
     return ChunkOutcome(domain, pairs, warnings)
 
 

@@ -10,29 +10,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
-from .chunker import word_tokens
+from .chunker import STOPWORDS_V1, word_tokens
 
 if TYPE_CHECKING:
     from .chunker import Chunk
     from .gateway import AnswerPhrase, CompletedAnswer, GeneratedQuestion
 
 PENALTY_SPAN_CHARS = 200
-
-# Version 1 stopword list, exactly 50 entries. Scores are defined relative to
-# this list; editing it is a breaking change.
-STOPWORDS_V1 = frozenset(
-    """
-    a an the and or but if then
-    is are was were be been being am
-    do does did has have had
-    will would can could should may might must
-    of to in on at by for with from as
-    it its this that these those
-    not no so such
-    """.split()
-)
 
 
 @dataclass(frozen=True)
@@ -76,14 +62,13 @@ def content_tokens(text: str) -> Counter[str]:
     return Counter(content_token_list(text))
 
 
-def _prepared(text: str) -> tuple[Counter[str], int]:
-    """*text*'s content-token counts and their integer squared norm."""
-    counts = content_tokens(text)
+def _prepared(counts: Mapping[str, int]) -> tuple[Mapping[str, int], int]:
+    """Content-token *counts* with their integer squared norm."""
     return counts, sum(c * c for c in counts.values())
 
 
 def _scores(
-    qa_text: str, qa: tuple[Counter[str], int], context: tuple[Counter[str], int]
+    qa_text: str, qa: tuple[Mapping[str, int], int], context: tuple[Mapping[str, int], int]
 ) -> tuple[float, int]:
     """Semantic and keyword score of prepared *qa* against prepared *context*.
 
@@ -112,7 +97,9 @@ def semantic_similarity(qa_text: str, context: str) -> float:
     Either side having no content tokens yields 0.0. Identical token
     multisets yield exactly 1.0.
     """
-    return _scores(qa_text, _prepared(qa_text), _prepared(context))[0]
+    return _scores(
+        qa_text, _prepared(content_tokens(qa_text)), _prepared(content_tokens(context))
+    )[0]
 
 
 def keyword_score(qa_text: str, context: str) -> int:
@@ -122,7 +109,9 @@ def keyword_score(qa_text: str, context: str) -> int:
     subtracted per full 200 characters of *qa_text* (Unicode code points),
     so the result can go negative.
     """
-    return _scores(qa_text, _prepared(qa_text), _prepared(context))[1]
+    return _scores(
+        qa_text, _prepared(content_tokens(qa_text)), _prepared(content_tokens(context))
+    )[1]
 
 
 def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
@@ -131,16 +120,17 @@ def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
     Descending total score; exact ties resolve by (chunk_index, q_index)
     ascending. Ranks are assigned 1..N with no gaps.
     """
-    # Pairs of one chunk share its prepared context; equal chunks have equal
-    # contexts, so keying by the chunk (not its index) is exact.
-    contexts: dict[Chunk, tuple[Counter[str], int]] = {}
+    # Pairs of one chunk share its prepared context, made from the counts the
+    # chunk keeps; equal chunks have equal contexts, so keying by the chunk
+    # (not its index) is exact.
+    contexts: dict[Chunk, tuple[Mapping[str, int], int]] = {}
     rows: list[tuple[QaPair, float, int]] = []
     for pair, chunk in pairs:
         context = contexts.get(chunk)
         if context is None:
-            context = contexts[chunk] = _prepared(chunk.context)
+            context = contexts[chunk] = _prepared(chunk.content_counts)
         qa_text = f"{pair.question.text} {pair.answer.text}"
-        rows.append((pair, *_scores(qa_text, _prepared(qa_text), context)))
+        rows.append((pair, *_scores(qa_text, _prepared(content_tokens(qa_text)), context)))
     rows.sort(key=lambda row: (-(row[1] + row[2]), row[0].chunk_index, row[0].q_index))
     return [
         ScoredFaq(pair=pair, semantic_score=semantic, keyword_score=keywords, rank=position)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+import faqgen.chunker
 from faqgen.stubserver import create_server
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,6 +29,23 @@ def fixtures_dir() -> Path:
 @pytest.fixture
 def fixture_document_text() -> str:
     return (FIXTURES / "fixture_doc.txt").read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def tokenized(monkeypatch) -> list[str]:
+    """Every text passed to ``chunker.word_tokens`` by faqgen from now on, in
+    call order, through whichever module's name for it."""
+    seen: list[str] = []
+    original = faqgen.chunker.word_tokens
+
+    def counting(text, *args, **kwargs):
+        seen.append(text)
+        return original(text, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("faqgen.") and getattr(module, "word_tokens", None) is original:
+            monkeypatch.setattr(module, "word_tokens", counting)
+    return seen
 
 
 @pytest.fixture(scope="session")

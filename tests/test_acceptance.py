@@ -254,7 +254,8 @@ def test_protocol_round_trip(stub_server_url):
             body = {"context": context, "question": question, "answer_phrase": "x"}
         if path != "/v1/domain":
             step = path.removeprefix("/v1/")
-            expected = STUB_HANDLERS[step](body, None, segment_sentences(context))
+            chunk = Chunk(index=0, sentences=tuple(segment_sentences(context)))
+            expected = STUB_HANDLERS[step](body, None, chunk)
         response = requests.post(f"{stub_server_url}{path}", json=body, timeout=5)
         assert response.status_code == 200, (path, response.text)
         assert response.json() == expected, path

@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faqgen.chunker import (
+    STOPWORDS_V1,
+    Chunk,
     EmptyDocument,
     SourceDocument,
     build_chunks,
     segment_sentences,
     word_count,
+    word_tokens,
 )
-from oracles import oracle_chunk_sizes, oracle_sentences, oracle_word_count
+from oracles import oracle_chunk_sizes, oracle_plain_tokens, oracle_sentences, oracle_word_count
 
 CORPUS = json.loads(
     (__import__("pathlib").Path(__file__).parent / "fixtures" / "sentence_corpus.json")
@@ -49,6 +55,40 @@ class TestWordCount:
     @given(st.text(alphabet=" \t\nabcXYZ.!?019", max_size=300))
     def test_matches_oracle(self, text):
         assert word_count(text) == oracle_word_count(text)
+
+
+# Any code point but a surrogate, with the 29 str.isspace() characters, ASCII
+# punctuation, and the letters whose lowercase depends on context or has
+# another length (capital sigma, dotted capital I) drawn more often.
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+TOKEN_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",)),
+        st.sampled_from(WHITESPACE + "\u03a3\u03c3\u03c2\u0130I.,'\"-()!?"),
+    ),
+    max_size=60,
+)
+
+
+class TestWordTokens:
+    def test_every_whitespace_character_is_drawn(self):
+        assert len(WHITESPACE) == 29
+
+    @given(TOKEN_TEXT)
+    @settings(max_examples=500)
+    def test_matches_oracle(self, text):
+        assert word_tokens(text) == oracle_plain_tokens(text)
+
+    @given(st.lists(TOKEN_TEXT, max_size=6))
+    @settings(max_examples=300)
+    def test_context_tokens_are_the_sentences_tokens(self, texts):
+        # A chunk's context is the single-space join of its stripped,
+        # non-empty sentences, so tokenizing each sentence once gives the
+        # context's tokens: what the steps and the ranker read.
+        chunk = Chunk(index=0, sentences=tuple(t.strip() for t in texts if t.strip()))
+        expected = word_tokens(" ".join(chunk.sentences))
+        assert list(chain.from_iterable(chunk.sentence_tokens)) == expected
+        assert chunk.content_counts == Counter(word_tokens(chunk.context, STOPWORDS_V1))
 
 
 class TestSegmentSentences:

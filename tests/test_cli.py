@@ -319,7 +319,7 @@ class TestDatasetCommands:
             {},
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: $: ")
+        assert capsys.readouterr().err.startswith(f"error: {squad}: $: ")
 
     def test_squad_group_writes_tables_and_shortfalls(self, tmp_path, capsys):
         squad = squad_file(tmp_path)
@@ -441,6 +441,45 @@ class TestMalformedInputExits1:
         )
         assert not output.exists()
 
+    # 50 lies in the first block the CSV reader decodes, 20,000 in a later one.
+    @pytest.mark.parametrize("offset", [50, 20_000])
+    @pytest.mark.parametrize("command", ["build-ac", "eval"])
+    def test_non_utf8_csv_names_file_and_offset(self, tmp_path, capsys, command, offset):
+        table = tmp_path / "table.csv"
+        if command == "build-ac":
+            header = CUSTOM_HEADER_LINE.encode()
+            argv = ["dataset", "build-ac", "--custom", str(table),
+                    "--output", str(tmp_path / "out.csv")]
+        else:
+            header = REVIEW_HEADER_LINE.encode()
+            argv = ["eval", "aggregate", "--input", str(table)]
+        table.write_bytes(header + b"x" * (offset - len(header)) + b"\xe9,b\n")
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{table}: not UTF-8 at byte offset {offset} (invalid continuation byte)"
+        )
+
+    @pytest.mark.parametrize("content, detail", [
+        (b"Gaming\tjaz\xe9z\n", "not UTF-8 at byte offset 10 (invalid continuation byte)"),
+        (b"Gaming jazz\n", "line 1: expected '<domain>\\t<term>'"),
+    ])
+    def test_bad_lexicon_names_file(self, tmp_path, capsys, content, detail):
+        lexicon = tmp_path / "bad.lex"
+        lexicon.write_bytes(content)
+        argv = ["dataset", "squad-group", "--squad", str(squad_file(tmp_path)),
+                "--lexicon", str(lexicon), "--output-dir", str(tmp_path / "tables")]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == f"{lexicon}: {detail}"
+
+    @pytest.mark.parametrize("text", ["", " \n\t "])
+    def test_empty_document_names_file(self, tmp_path, capsys, text):
+        doc = tmp_path / "empty.txt"
+        doc.write_text(text, encoding="utf-8")
+        assert run_cli(["generate", "--input", str(doc), "--count", "1"], {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{doc}: document 'empty' contains no sentences"
+        )
+
     @pytest.mark.parametrize("row", [",Q?,phrase,Done.", "Ctx.,,phrase,Done.", "Ctx.,Q?,,Done."])
     @pytest.mark.parametrize("command", ["build-ac", "build-ae"])
     def test_dataset_blank_custom_cell(self, tmp_path, capsys, command, row):
@@ -462,7 +501,7 @@ class TestMalformedInputExits1:
         )
         assert code == 1
         assert one_error_line(capsys.readouterr().err) == (
-            "data[0].paragraphs[0].context: missing or blank"
+            f"{squad}: data[0].paragraphs[0].context: missing or blank"
         )
 
     @pytest.mark.parametrize(
@@ -481,7 +520,7 @@ class TestMalformedInputExits1:
         output = tmp_path / "ae.csv"
         argv = ["dataset", "build-ae", "--squad", str(squad), "--output", str(output)]
         assert run_cli(argv, {}) == 1
-        assert one_error_line(capsys.readouterr().err) == f"{path}: missing or blank"
+        assert one_error_line(capsys.readouterr().err) == f"{squad}: {path}: missing or blank"
         assert not output.exists()
 
 
@@ -650,4 +689,10 @@ class TestCliProperty:
                 code = run_cli(argv, environment)
         assert code in (0, 1, 2)
         if code == 1:
-            assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == 1
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1
+            # With no backend URL, every runtime failure comes from a file or
+            # directory the call named (the input, the config, the lexicon it
+            # names, an output), all of which lie in the work directory; the
+            # error line names it.
+            assert work in errors[0], errors[0]

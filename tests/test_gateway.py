@@ -60,9 +60,9 @@ def chunk_of(context: str, index: int = 0) -> Chunk:
 
 
 def stub_reply(step: str, **body) -> dict:
-    """The step's stub handler's reply to *body*, given the context's
-    sentences as the gateway gives them in-process."""
-    return STUB_HANDLERS[step](body, None, segment_sentences(body["context"]))
+    """The step's stub handler's reply to *body*, given the context's chunk
+    as the gateway gives it in-process."""
+    return STUB_HANDLERS[step](body, None, chunk_of(body["context"]))
 
 
 def dead_endpoints(**kwargs) -> BackendEndpointSet:
@@ -213,7 +213,7 @@ STUB_QUESTION = st.lists(
 
 
 class TestStubHandlerOracles:
-    """Each step's stub handler, given the context's sentences in-process or
+    """Each step's stub handler, given the context's chunk in-process or
     None as in the stub server, answers as the oracle built from
     ``oracle_sentences`` and ``oracle_tokens`` says."""
 
@@ -231,35 +231,33 @@ class TestStubHandlerOracles:
             expected["answer_phrase"] = {"answer_phrase": phrase}
         body = {"context": context, "domain": "Gaming", "cap": cap,
                 "question": question, "answer_phrase": "x"}
-        for sentences in (segment_sentences(context), None):
+        for chunk in (chunk_of(context), None):
             for step, handler in STUB_HANDLERS.items():
                 if step in expected:
-                    assert handler(body, lexicon, sentences) == expected[step], step
+                    assert handler(body, lexicon, chunk) == expected[step], step
                 else:
                     source = oracle_stub_source(context, question)
                     message = f"no usable tokens in sentence {source!r}"
                     with pytest.raises(RequestRejected) as caught:
-                        handler(body, lexicon, sentences)
+                        handler(body, lexicon, chunk)
                     assert str(caught.value) == message
 
     @pytest.mark.parametrize("in_process", [True, False])
-    def test_answer_phrase_tokenizes_each_sentence_once(self, monkeypatch, in_process):
-        import faqgen.gateway
-
-        seen: list[str] = []
-        tokenize = faqgen.gateway.content_token_list
-
-        def counting(text: str) -> list[str]:
-            seen.append(text)
-            return tokenize(text)
-
-        monkeypatch.setattr(faqgen.gateway, "content_token_list", counting)
+    def test_answer_phrase_tokenizes_each_sentence_once(self, tokenized, in_process):
         body = {"context": THREE_SENTENCES, "question": "What does the passage state about dogs?"}
-        sentences = segment_sentences(THREE_SENTENCES) if in_process else None
-        reply = STUB_HANDLERS["answer_phrase"](body, None, sentences)
+        chunk = chunk_of(THREE_SENTENCES) if in_process else None
+        reply = STUB_HANDLERS["answer_phrase"](body, None, chunk)
         assert reply == {"answer_phrase": "dogs bark loudly"}
-        assert "Dogs bark loudly." in seen
-        assert len(seen) == len(set(seen)), seen
+        assert "Dogs bark loudly." in tokenized
+        assert len(tokenized) == len(set(tokenized)), tokenized
+
+    def test_server_path_tokenizes_up_to_the_source_sentence(self, tokenized):
+        # Without a chunk the handler splits the context and stops
+        # tokenizing at the sentence holding the anchor.
+        body = {"context": THREE_SENTENCES, "question": "What does the passage state about dogs?",
+                "answer_phrase": "dogs"}
+        STUB_HANDLERS["complete_answer"](body, None, None)
+        assert tokenized == [body["question"], "Cats sleep daily.", "Dogs bark loudly."]
 
 
 class TestEndpointSetValidation:
@@ -601,7 +599,7 @@ class TestAnyReplyProperty:
         chunk = chunk_of(THREE_SENTENCES)
         question = GeneratedQuestion(chunk_index=0, q_index=0, text="What about dogs?")
         steps = [
-            lambda: [identify_domain(chunk.context, endpoints=endpoints)],
+            lambda: [identify_domain(chunk, endpoints=endpoints)],
             lambda: [q.text for q in generate_questions(chunk, "Gaming", endpoints=endpoints)],
             lambda: [extract_answer_phrase(chunk, question, endpoints).text],
             lambda: [

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
+from collections import Counter
 
 import pytest
 
 import faqgen.chunker
 import faqgen.gateway
-from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, segment_sentences
+from faqgen.chunker import (
+    STOPWORDS_V1,
+    Chunk,
+    EmptyDocument,
+    SourceDocument,
+    build_chunks,
+    segment_sentences,
+    word_tokens,
+)
 from faqgen.domains import DOMAINS, default_lexicon
 from faqgen.gateway import BackendEndpointSet
 from faqgen.pipeline import PipelineConfig, process_chunk, run
@@ -129,6 +139,32 @@ class TestRun:
         result = run(doc, stub_config())
         assert result.total_generated > 0
         assert calls == [fixture_document_text]
+
+    def test_run_tokenizes_each_sentence_once(self, fixture_document_text, tokenized):
+        # One word_tokens call per sentence, shared by every step and the
+        # ranker, plus three per question: its anchor in the answer-phrase
+        # and in the completion request, and its question-answer text.
+        doc = SourceDocument.from_text("fixture", fixture_document_text)
+        result = run(doc, stub_config(requested_faq_count=100))
+        assert {w.kind for w in result.warnings} == {"OverRequest"}
+        questions = [faq.pair.question.text for faq in result.faqs]
+        qa_texts = [f"{faq.pair.question.text} {faq.pair.answer.text}" for faq in result.faqs]
+        expected = segment_sentences(fixture_document_text) + questions * 2 + qa_texts
+        assert sorted(tokenized) == sorted(expected)
+
+    def test_sentence_tokens_do_not_outlive_process_chunk(self):
+        chunk = make_chunk(THREE_SENTENCES)
+        outcome = process_chunk(chunk, stub_config(), default_lexicon())
+        assert outcome.pairs
+        # Ranking reads the counts; no token list stays reachable.
+        assert vars(chunk)["content_counts"] == Counter(word_tokens(chunk.context, STOPWORDS_V1))
+        seen, stack = set(), [chunk]
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in seen:
+                seen.add(id(obj))
+                assert not isinstance(obj, list), obj
+                stack.extend(r for r in gc.get_referents(obj) if not isinstance(r, type))
 
     def test_worker_count_does_not_change_output(self, fixture_document_text):
         doc = SourceDocument.from_text("fixture", fixture_document_text)

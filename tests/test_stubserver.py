@@ -25,6 +25,8 @@ from faqgen.pipeline import PipelineConfig, run
 from faqgen.stubserver import MAX_BODY_BYTES, BindFailure, create_server
 
 CONTEXT = "Cats sleep daily. Dogs bark loudly. Birds fly south."
+# The in-process stubs read the chunk whose context a request carries.
+CHUNK = Chunk(index=0, sentences=tuple(segment_sentences(CONTEXT)))
 
 # Lexicon terms, stopwords (stopword-only sentences have no question anchor)
 # and a punctuation-only token (a sentence of it has no tokens at all).
@@ -127,7 +129,7 @@ class TestRoundTrip:
         assert response.status_code == 200
         assert response.json() == STUB_HANDLERS["questions"](
             {"context": CONTEXT, "domain": "Diaries and Daily Life", "cap": 5},
-            None, segment_sentences(CONTEXT),
+            None, CHUNK,
         )
 
     def test_domain_matches_lexicon_classifier(self, stub_server_url):
@@ -141,13 +143,13 @@ class TestRoundTrip:
             stub_server_url, "/v1/answer_phrase", {"context": CONTEXT, "question": question}
         )
         assert phrase.json() == STUB_HANDLERS["answer_phrase"](
-            {"context": CONTEXT, "question": question}, None, segment_sentences(CONTEXT)
+            {"context": CONTEXT, "question": question}, None, CHUNK
         )
         body = {"context": CONTEXT, "question": question,
                 "answer_phrase": phrase.json()["answer_phrase"]}
         answer = post(stub_server_url, "/v1/complete_answer", body)
         assert answer.json() == STUB_HANDLERS["complete_answer"](
-            body, None, segment_sentences(CONTEXT)
+            body, None, CHUNK
         )
 
     def test_gateway_client_against_stub_server_equals_in_process(self, stub_server_url):
