@@ -9,6 +9,9 @@ closes at the first sentence at which its cumulative word count reaches the
 target size, so chunks never cut a sentence in half. A chunk keeps its
 sentences, so the in-process steps never split its text again, and
 tokenizes each of them once for all its readers.
+
+The token rules live here alone: ``word_tokens`` splits text into tokens
+and ``content_tokens`` keeps those not in ``STOPWORDS_V1``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import Iterable
 
 DEFAULT_CHUNK_WORDS = 250
 
@@ -104,10 +108,8 @@ class Chunk:
 
     @cached_property
     def content_counts(self) -> Counter[str]:
-        """Multiset of the context's content tokens, those not in
-        ``STOPWORDS_V1``."""
-        tokens = chain.from_iterable(self.sentence_tokens)
-        return Counter(token for token in tokens if token not in STOPWORDS_V1)
+        """Multiset of the context's ``content_tokens``."""
+        return Counter(content_tokens(chain.from_iterable(self.sentence_tokens)))
 
     def release(self) -> None:
         """Compute ``content_counts`` if not yet done, then drop the cached
@@ -127,23 +129,28 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def word_tokens(text: str, stopwords: frozenset[str] = frozenset()) -> list[str]:
-    """Ordered lowercase tokens of *text*.
+def word_tokens(text: str) -> list[str]:
+    """Ordered lowercase tokens of *text*, stopwords kept.
 
     Tokens are whitespace-delimited runs with leading/trailing ASCII
-    punctuation stripped; empties and members of *stopwords* are dropped.
-    The text is lowercased before it is split, which gives the same tokens
-    as lowercasing each stripped run: no character lowercases to whitespace
-    or ASCII punctuation, or changes whether it is either, and the one
+    punctuation stripped; empties are dropped. The text is lowercased
+    before it is split, which gives the same tokens as lowercasing each
+    stripped run: no character lowercases to whitespace or ASCII
+    punctuation, or changes whether it is either, and the one
     context-dependent mapping (a final capital sigma) looks no further than
     cased letters, which neither whitespace nor ASCII punctuation is.
     """
     tokens = []
     for raw in text.lower().split():
         token = raw.strip(string.punctuation)
-        if token and token not in stopwords:
+        if token:
             tokens.append(token)
     return tokens
+
+
+def content_tokens(tokens: Iterable[str]) -> list[str]:
+    """The *tokens* not in ``STOPWORDS_V1``, in order."""
+    return [token for token in tokens if token not in STOPWORDS_V1]
 
 
 def _guarded_abbreviation(head: str) -> bool:

@@ -7,6 +7,7 @@ server also serves). In-process a stub reads the chunk's sentences and the
 tokens the chunk computed once for all steps (``Chunk.sentence_tokens``).
 Over HTTP it splits the request's context, which gives the same sentences,
 and tokenizes each sentence only when its scan reaches it. Either way the
+stubs take tokens and content tokens from ``chunker``'s token rules, and the
 reply is parsed and normalised by the same code, so offline and HTTP runs
 give the same results. Stub outputs are pure functions of their inputs so
 end-to-end runs are reproducible offline.
@@ -23,9 +24,8 @@ from typing import Callable, Iterable
 
 import requests
 
-from .chunker import STOPWORDS_V1, TERMINALS, Chunk, segment_sentences, word_tokens
+from .chunker import TERMINALS, Chunk, content_tokens, segment_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
-from .ranker import content_token_list
 
 DEFAULT_QUESTION_CAP = 5
 DEFAULT_TIMEOUT_MS = 10_000
@@ -238,9 +238,9 @@ def _questions_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk | No
         raise RequestRejected(f"cap must be an integer >= 1, got {cap!r}")
     questions = []
     for _, tokens in islice(_tokenized(context, chunk), cap):
-        anchor = next((token for token in tokens if token not in STOPWORDS_V1), None)
-        if anchor is not None:
-            questions.append(QUESTION_TEMPLATE_V1.format(anchor=anchor))
+        content = content_tokens(tokens)
+        if content:
+            questions.append(QUESTION_TEMPLATE_V1.format(anchor=content[0]))
     return {"questions": questions}
 
 
@@ -250,7 +250,7 @@ def _answer_source(body: dict, chunk: Chunk | None) -> tuple[str, list[str]]:
     the first sentence. The anchor is never a stopword, so a sentence's
     tokens hold it exactly when its content tokens do."""
     context = _required_text(body, "context")
-    anchor = content_token_list(_required_text(body, "question"))[-1:]
+    anchor = content_tokens(word_tokens(_required_text(body, "question")))[-1:]
     first = None
     for sentence, tokens in _tokenized(context, chunk):
         if not anchor or anchor[0] in tokens:
@@ -263,7 +263,7 @@ def _answer_phrase_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk 
     """The first six content tokens of the source sentence; a stopword-only
     sentence gives its first six plain tokens."""
     sentence, tokens = _answer_source(body, chunk)
-    content = [token for token in tokens if token not in STOPWORDS_V1]
+    content = content_tokens(tokens)
     tokens = (content or tokens)[:ANSWER_PHRASE_TOKEN_LIMIT]
     if not tokens:
         raise RequestRejected(f"no usable tokens in sentence {sentence!r}")
@@ -285,6 +285,9 @@ STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None, Chunk | None], di
     "answer_phrase": _answer_phrase_stub,
     "complete_answer": _complete_answer_stub,
 }
+# Each step's URL field name, made once: a name formatted per call would be a
+# new string each time, which CPython's type attribute cache keeps alive.
+_URL_FIELDS = {step: f"{step}_url" for step in STUB_HANDLERS}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,7 @@ def _dispatch(
     """The reply to *request* and who sent it: the step's remote backend when
     it has a URL, else its built-in stub, which reads *chunk*, the chunk
     whose context the request carries."""
-    url = getattr(endpoints, f"{step}_url") if endpoints else None
+    url = getattr(endpoints, _URL_FIELDS[step]) if endpoints else None
     if url:
         return post_json(url, request, endpoints), url
     return STUB_HANDLERS[step](request, lexicon, chunk), f"{step} stub"

@@ -1,8 +1,9 @@
 """Relevance scoring and ordering of question-answer pairs.
 
-Each pair is scored against the context of the chunk it came from: a raw
-term-frequency cosine similarity plus an integer keyword-overlap score that
-loses one point per 200 characters of question-answer text.
+``rank`` scores each pair against the content tokens of the chunk it came
+from: a raw term-frequency cosine similarity plus an integer keyword-overlap
+score that loses one point per 200 characters of question-answer text. Its
+docstring defines both terms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .chunker import STOPWORDS_V1, word_tokens
+from .chunker import content_tokens, word_tokens
 
 if TYPE_CHECKING:
     from .chunker import Chunk
@@ -52,16 +53,6 @@ class ScoredFaq:
         return self.semantic_score + self.keyword_score
 
 
-def content_token_list(text: str) -> list[str]:
-    """Ordered lowercase tokens of *text* with the stopwords dropped."""
-    return word_tokens(text, STOPWORDS_V1)
-
-
-def content_tokens(text: str) -> Counter[str]:
-    """Multiset of content tokens of *text*."""
-    return Counter(content_token_list(text))
-
-
 def _prepared(counts: Mapping[str, int]) -> tuple[Mapping[str, int], int]:
     """Content-token *counts* with their integer squared norm."""
     return counts, sum(c * c for c in counts.values())
@@ -91,31 +82,18 @@ def _scores(
     return semantic, shared - len(qa_text) // PENALTY_SPAN_CHARS
 
 
-def semantic_similarity(qa_text: str, context: str) -> float:
-    """Cosine similarity of raw term-frequency vectors, in [0, 1].
-
-    Either side having no content tokens yields 0.0. Identical token
-    multisets yield exactly 1.0.
-    """
-    return _scores(
-        qa_text, _prepared(content_tokens(qa_text)), _prepared(content_tokens(context))
-    )[0]
-
-
-def keyword_score(qa_text: str, context: str) -> int:
-    """Distinct shared content tokens, penalised by qa_text length.
-
-    Zero matches score 0 regardless of length; otherwise one point is
-    subtracted per full 200 characters of *qa_text* (Unicode code points),
-    so the result can go negative.
-    """
-    return _scores(
-        qa_text, _prepared(content_tokens(qa_text)), _prepared(content_tokens(context))
-    )[1]
-
-
 def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
     """Score every pair against its own chunk's context and order them.
+
+    A pair's QA text is ``f"{question} {answer}"``, and both it and the
+    context are read as their content tokens (``chunker.content_tokens``):
+
+    - the semantic score is the cosine similarity of their raw
+      term-frequency vectors, in [0, 1]; it is 0.0 when either side has no
+      content tokens, and identical token multisets give exactly 1.0;
+    - the keyword score is the number of distinct content tokens they
+      share, minus one per full 200 code points of the QA text; it is 0
+      when they share none, and otherwise may be negative.
 
     Descending total score; exact ties resolve by (chunk_index, q_index)
     ascending. Ranks are assigned 1..N with no gaps.
@@ -130,7 +108,8 @@ def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
         if context is None:
             context = contexts[chunk] = _prepared(chunk.content_counts)
         qa_text = f"{pair.question.text} {pair.answer.text}"
-        rows.append((pair, *_scores(qa_text, _prepared(content_tokens(qa_text)), context)))
+        qa = _prepared(Counter(content_tokens(word_tokens(qa_text))))
+        rows.append((pair, *_scores(qa_text, qa, context)))
     rows.sort(key=lambda row: (-(row[1] + row[2]), row[0].chunk_index, row[0].q_index))
     return [
         ScoredFaq(pair=pair, semantic_score=semantic, keyword_score=keywords, rank=position)

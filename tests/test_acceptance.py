@@ -35,9 +35,10 @@ from faqgen.gateway import (
     generate_questions,
 )
 from faqgen.pipeline import PipelineConfig, run
-from faqgen.ranker import QaPair, keyword_score, rank, semantic_similarity
+from faqgen.ranker import QaPair, rank
 from faqgen.reviews import ReviewRecord, aggregate
 from oracles import oracle_cosine, oracle_keyword, oracle_rank_order
+from test_ranker import scores
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,8 +122,9 @@ def test_ranking_oracle_equivalence():
         pairs.append((pair, chunk))
         oracle_items.append((qa_text, context, chunk_index, i))
 
-        assert abs(semantic_similarity(qa_text, context) - oracle_cosine(qa_text, context)) < 1e-9
-        assert keyword_score(qa_text, context) == oracle_keyword(qa_text, context)
+        semantic, keyword = scores(question, answer, context)
+        assert abs(semantic - oracle_cosine(qa_text, context)) < 1e-9
+        assert keyword == oracle_keyword(qa_text, context)
     inputs = [(pairs, oracle_items)]
 
     # As run() passes them: several pairs share one Chunk object. Chunks 0
@@ -161,9 +163,10 @@ def test_ranking_oracle_equivalence():
 
 @criterion(3, "cosine fixtures: self 1.0, disjoint 0.0, 4/sqrt(18) within 1e-9")
 def test_semantic_similarity_fixtures():
-    assert semantic_similarity("Cats chase mice daily.", "Cats chase mice daily.") == 1.0
-    assert semantic_similarity("alpha bravo", "charlie delta") == 0.0
-    value = semantic_similarity("cats chase mice", "mice chase cats chase")
+    # A question of just "?" and the answer's closing "." add no token.
+    assert scores("?", "Cats chase mice daily.", "Cats chase mice daily.")[0] == 1.0
+    assert scores("?", "alpha bravo.", "charlie delta")[0] == 0.0
+    value = scores("?", "cats chase mice.", "mice chase cats chase")[0]
     assert abs(value - 4 / math.sqrt(18)) < 1e-9
     assert abs(value - 0.9428090415820634) < 1e-9
 
@@ -171,11 +174,14 @@ def test_semantic_similarity_fixtures():
 @criterion(4, "keyword penalty: 450 chars / 5 matches -> 3; zero matches -> 0")
 def test_keyword_penalty_formula():
     shared = "alpha bravo charlie delta echo"
-    qa_text = shared + " " + "x" * (450 - len(shared) - 1)
-    assert len(qa_text) == 450
-    assert keyword_score(qa_text, shared + " filler words") == 3
-    for length in (1, 150, 200, 450, 2000):
-        assert keyword_score("z" * length, "alpha bravo charlie") == 0
+    answer = shared + " " + "x" * (450 - len(shared) - 4) + "."
+    assert len(f"? {answer}") == 450
+    assert scores("?", answer, shared + " filler words")[1] == 3
+    # "? ." is the shortest QA text a pair can have.
+    for length in (3, 150, 200, 450, 2000):
+        answer = "z" * (length - 3) + "."
+        assert len(f"? {answer}") == length
+        assert scores("?", answer, "alpha bravo charlie")[1] == 0
 
 
 @criterion(5, "end-to-end stub run matches the golden file; k semantics hold")

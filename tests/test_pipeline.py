@@ -9,19 +9,12 @@ import pytest
 
 import faqgen.chunker
 import faqgen.gateway
-from faqgen.chunker import (
-    STOPWORDS_V1,
-    Chunk,
-    EmptyDocument,
-    SourceDocument,
-    build_chunks,
-    segment_sentences,
-    word_tokens,
-)
+from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, segment_sentences
 from faqgen.domains import DOMAINS, default_lexicon
 from faqgen.gateway import BackendEndpointSet
 from faqgen.pipeline import PipelineConfig, process_chunk, run
 from faqgen.ranker import rank
+from oracles import oracle_tokens
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
 
@@ -157,7 +150,7 @@ class TestRun:
         outcome = process_chunk(chunk, stub_config(), default_lexicon())
         assert outcome.pairs
         # Ranking reads the counts; no token list stays reachable.
-        assert vars(chunk)["content_counts"] == Counter(word_tokens(chunk.context, STOPWORDS_V1))
+        assert vars(chunk)["content_counts"] == Counter(oracle_tokens(chunk.context))
         seen, stack = set(), [chunk]
         while stack:
             obj = stack.pop()

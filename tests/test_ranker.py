@@ -2,22 +2,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faqgen.chunker import Chunk, segment_sentences
+from faqgen.chunker import STOPWORDS_V1, Chunk, content_tokens, segment_sentences, word_tokens
 from faqgen.gateway import AnswerPhrase, CompletedAnswer, GeneratedQuestion
-from faqgen.ranker import (
-    STOPWORDS_V1,
-    QaPair,
-    content_token_list,
-    content_tokens,
-    keyword_score,
-    rank,
-    semantic_similarity,
-)
+from faqgen.ranker import QaPair, rank
 from oracles import (
     ORACLE_STOPWORDS,
     oracle_cosine,
@@ -25,6 +18,7 @@ from oracles import (
     oracle_rank_order,
     oracle_tokens,
 )
+from test_chunker import WORDS_TEXT
 
 VOCAB = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel",
@@ -46,16 +40,30 @@ def make_chunk(index: int, context: str) -> Chunk:
     return Chunk(index=index, sentences=tuple(segment_sentences(context)))
 
 
+def scores(question: str, answer: str, context: str) -> tuple[float, int]:
+    """``rank``'s semantic and keyword score of one pair, whose QA text is
+    ``f"{question} {answer}"``, against *context*. A question of just "?"
+    and an answer's closing "." add no token, so a test can put the whole
+    QA text it means in the answer."""
+    [faq] = rank([(make_pair(0, 0, question, answer), make_chunk(0, context))])
+    return faq.semantic_score, faq.keyword_score
+
+
+def qa_counts(text: str) -> Counter[str]:
+    """The content-token counts ``rank`` reads for a QA text."""
+    return Counter(content_tokens(word_tokens(text)))
+
+
 class TestContentTokens:
     def test_stopwords_and_punctuation(self):
-        assert content_tokens("The cats chase mice.") == {"cats": 1, "chase": 1, "mice": 1}
+        assert qa_counts("The cats chase mice.") == {"cats": 1, "chase": 1, "mice": 1}
 
     def test_empty(self):
-        assert content_tokens("") == {}
+        assert qa_counts("") == {}
 
     def test_hand_tokenized_sentence(self):
-        tokens = content_token_list(
-            "Entanglement is the sole hallmark of quantum mechanics."
+        tokens = content_tokens(
+            word_tokens("Entanglement is the sole hallmark of quantum mechanics.")
         )
         assert tokens == ["entanglement", "sole", "hallmark", "quantum", "mechanics"]
 
@@ -64,41 +72,41 @@ class TestContentTokens:
         assert len(STOPWORDS_V1) == 50
 
     def test_counts_repeats(self):
-        assert content_tokens("dog dog Dog cat")["dog"] == 3
+        assert qa_counts("dog dog Dog cat")["dog"] == 3
 
-    @given(st.lists(st.sampled_from(VOCAB + ["the", "of", "A"]), max_size=30))
-    def test_matches_oracle(self, words):
-        text = " ".join(words)
-        assert content_token_list(text) == oracle_tokens(text)
+    @given(WORDS_TEXT)
+    @settings(max_examples=300)
+    def test_matches_oracle(self, text):
+        assert content_tokens(word_tokens(text)) == oracle_tokens(text)
 
 
 class TestSemanticSimilarity:
     def test_identical_texts_exactly_one(self):
         text = "Cats chase mice in the garden."
-        assert semantic_similarity(text, text) == 1.0
+        assert scores("?", text, text)[0] == 1.0
 
     def test_identical_with_repeats_exactly_one(self):
         text = "cat cat dog dog dog bird"
-        assert semantic_similarity(text, text) == 1.0
+        assert scores("?", f"{text}.", text)[0] == 1.0
 
     def test_disjoint_tokens_zero(self):
-        assert semantic_similarity("alpha bravo", "charlie delta") == 0.0
+        assert scores("?", "alpha bravo.", "charlie delta")[0] == 0.0
 
     def test_empty_side_zero(self):
-        assert semantic_similarity("", "alpha") == 0.0
-        assert semantic_similarity("alpha", "the of and") == 0.0
+        assert scores("?", ".", "alpha")[0] == 0.0
+        assert scores("?", "alpha.", "the of and")[0] == 0.0
 
     def test_frozen_fixture(self):
         # tf vectors {cats:1, chase:1, mice:1} vs {mice:1, chase:2, cats:1}:
         # dot 4, norms sqrt(3) and sqrt(6)
-        value = semantic_similarity("cats chase mice", "mice chase cats chase")
+        value = scores("?", "cats chase mice.", "mice chase cats chase")[0]
         assert abs(value - 0.9428090415820634) < 1e-9
         assert abs(value - 4 / math.sqrt(18)) < 1e-9
 
     def test_symmetry_example(self):
         left = "alpha bravo charlie alpha"
         right = "bravo delta alpha"
-        assert semantic_similarity(left, right) == semantic_similarity(right, left)
+        assert scores("?", f"{left}.", right)[0] == scores("?", f"{right}.", left)[0]
 
     @given(
         st.lists(st.sampled_from(VOCAB[:8]), max_size=25),
@@ -108,9 +116,9 @@ class TestSemanticSimilarity:
     def test_oracle_equivalence_and_symmetry(self, left_words, right_words):
         left = " ".join(left_words)
         right = " ".join(right_words)
-        value = semantic_similarity(left, right)
+        value = scores("?", f"{left}.", right)[0]
         assert abs(value - oracle_cosine(left, right)) < 1e-9
-        assert value == semantic_similarity(right, left)
+        assert value == scores("?", f"{right}.", left)[0]
         assert 0.0 <= value <= 1.0
 
     @given(st.lists(st.sampled_from(VOCAB[:10]), min_size=1, max_size=25), st.randoms())
@@ -119,53 +127,55 @@ class TestSemanticSimilarity:
         shuffled = list(words)
         rng.shuffle(shuffled)
         context = "alpha bravo charlie delta echo"
-        assert semantic_similarity(" ".join(words), context) == semantic_similarity(
-            " ".join(shuffled), context
-        )
+        assert scores("?", " ".join(words) + ".", context)[0] == scores(
+            "?", " ".join(shuffled) + ".", context
+        )[0]
 
     @given(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=20))
     def test_self_similarity_is_one(self, words):
         text = " ".join(words)
-        assert semantic_similarity(text, text) == 1.0
+        assert scores("?", f"{text}.", text)[0] == 1.0
 
 
 class TestKeywordScore:
     def test_450_chars_with_5_matches(self):
         shared = "alpha bravo charlie delta echo"
-        qa_text = shared + " " + "x" * (450 - len(shared) - 1)
+        question, answer = "?", shared + " " + "x" * (450 - len(shared) - 4) + "."
+        qa_text = f"{question} {answer}"
         assert len(qa_text) == 450
         context = "alpha bravo charlie delta echo unrelated words here"
-        assert keyword_score(qa_text, context) == 3
+        assert scores(question, answer, context)[1] == 3
         assert oracle_keyword(qa_text, context) == 3
 
     def test_zero_matches_any_length(self):
         for length in (10, 150, 450, 900):
-            qa_text = "z" * length
-            assert keyword_score(qa_text, "alpha bravo charlie") == 0
+            answer = "z" * (length - 3) + "."
+            assert len(f"? {answer}") == length
+            assert scores("?", answer, "alpha bravo charlie")[1] == 0
 
     def test_150_chars_with_2_matches(self):
-        qa_text = "alpha bravo " + "y" * 138
-        assert len(qa_text) == 150
-        assert keyword_score(qa_text, "alpha bravo") == 2
+        answer = "alpha bravo " + "y" * 135 + "."
+        assert len(f"? {answer}") == 150
+        assert scores("?", answer, "alpha bravo")[1] == 2
 
     def test_negative_score_allowed(self):
-        qa_text = "alpha " + "p" * 444
-        assert len(qa_text) == 450
-        assert keyword_score(qa_text, "alpha") == 1 - 2
+        answer = "alpha " + "p" * 441 + "."
+        assert len(f"? {answer}") == 450
+        assert scores("?", answer, "alpha")[1] == 1 - 2
 
     def test_distinct_matching_ignores_context_duplicates(self):
-        qa_text = "alpha bravo"
-        assert keyword_score(qa_text, "alpha bravo") == keyword_score(
-            qa_text, "alpha alpha alpha bravo bravo"
-        )
+        answer = "alpha bravo."
+        assert scores("?", answer, "alpha bravo")[1] == scores(
+            "?", answer, "alpha alpha alpha bravo bravo"
+        )[1]
 
     def test_char_length_counts_code_points(self):
         # 199 code points -> no penalty; 200 -> one
-        base = "alpha "
-        qa_short = base + "é" * (199 - len(base))
-        qa_long = base + "é" * (200 - len(base))
-        assert keyword_score(qa_short, "alpha") == 1
-        assert keyword_score(qa_long, "alpha") == 0
+        short = "alpha " + "é" * (199 - 9) + "."
+        long = "alpha " + "é" * (200 - 9) + "."
+        assert (len(f"? {short}"), len(f"? {long}")) == (199, 200)
+        assert scores("?", short, "alpha")[1] == 1
+        assert scores("?", long, "alpha")[1] == 0
 
     @given(
         st.lists(st.sampled_from(VOCAB[:12]), max_size=30),
@@ -173,9 +183,9 @@ class TestKeywordScore:
     )
     @settings(max_examples=80)
     def test_oracle_equivalence(self, qa_words, context_words):
-        qa_text = " ".join(qa_words)
+        answer = " ".join(qa_words) + "."
         context = " ".join(context_words)
-        assert keyword_score(qa_text, context) == oracle_keyword(qa_text, context)
+        assert scores("?", answer, context)[1] == oracle_keyword(f"? {answer}", context)
 
 
 class TestRank:
@@ -250,6 +260,15 @@ class TestRank:
 
     def test_empty_input(self):
         assert rank([]) == []
+
+    @given(WORDS_TEXT, WORDS_TEXT, WORDS_TEXT)
+    @settings(max_examples=300)
+    def test_one_pair_matches_oracle_on_any_text(self, question, answer, context):
+        question, answer = f"{question}?", f"{answer}."
+        semantic, keyword = scores(question, answer, context)
+        qa_text = f"{question} {answer}"
+        assert abs(semantic - oracle_cosine(qa_text, context)) < 1e-9
+        assert keyword == oracle_keyword(qa_text, context)
 
 
 class TestQaPair:
