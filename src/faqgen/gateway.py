@@ -15,12 +15,16 @@ end-to-end runs are reproducible offline.
 
 from __future__ import annotations
 
+import json
+import os
+import ssl
 import threading
 import time
 from dataclasses import dataclass
-from http.cookiejar import DefaultCookiePolicy
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from itertools import chain, islice
 from typing import Callable, Iterable
+from urllib.parse import urlsplit
 
 import requests
 
@@ -111,86 +115,211 @@ class CompletedAnswer:
             )
 
 
-# Per thread: a session, which keeps its connections alive between calls,
-# and per URL the settings requests would otherwise read from the
-# environment on every call. A requests.Session is not documented as
-# thread-safe, so each thread has its own; it goes when the thread ends.
+# Per thread: per URL the route read from the environment on the thread's
+# first call to it, and per backend origin one kept-alive connection, shared
+# by every URL on that origin. An http.client connection is not thread-safe,
+# so each thread has its own; they are closed when the thread ends.
 _thread = threading.local()
+# Past this many URLs a thread closes its connections and starts afresh, so
+# a thread that calls many backends keeps few sockets open.
+_MAX_ROUTES = 32
 
 
-def _session_and_settings(url: str) -> tuple[requests.Session, dict]:
-    """This thread's session, and the proxies (``HTTP_PROXY``, ``NO_PROXY``),
-    CA bundle (``REQUESTS_CA_BUNDLE``) and ``.netrc`` credentials for *url*."""
-    try:
-        session, url_settings = _thread.session, _thread.url_settings
-    except AttributeError:
-        session = _thread.session = requests.Session()
-        # Calls pass the settings read below, so the session itself does
-        # not scan the environment on every call.
-        session.trust_env = False
-        # Keep no cookies, so each request is what a one-off post would send.
-        session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
-        url_settings = _thread.url_settings = {}
-    settings = url_settings.get(url)
-    if settings is None:
-        session.trust_env = True
+class _Connections(dict):
+    """One thread's connections by origin; closes them when dropped."""
+
+    def __del__(self) -> None:
+        for connection in self.values():
+            connection.close()
+
+
+def _route(url: str) -> tuple[HTTPConnection, str, dict[str, str]]:
+    """This thread's connection for *url*, the request target and headers."""
+    routes = getattr(_thread, "routes", None)
+    route = routes.get(url) if routes else None
+    if route is None:
+        if not routes or len(routes) >= _MAX_ROUTES:
+            routes = _thread.routes = {}
+            _thread.connections = _Connections()
+        route = routes[url] = _resolve(url, _thread.connections)
+    return route
+
+
+def _resolve(
+    url: str, connections: dict[tuple, HTTPConnection]
+) -> tuple[HTTPConnection, str, dict[str, str]]:
+    """How to reach *url*, reading the environment as requests does: the
+    proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle
+    (``REQUESTS_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own.
+
+    A plain-HTTP proxy is sent the absolute URI, and an HTTPS URL is
+    tunnelled through it (CONNECT); the proxy URL's credentials become
+    ``Proxy-Authorization``. The connection is taken from *connections*, or
+    made (not yet opened) and added. Raises ValueError or OSError when *url*
+    or a setting cannot be used."""
+    url = requests.utils.requote_uri(url)
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    parts.hostname.encode("idna")  # raises for a name no resolver takes
+    port = parts.port or (443 if parts.scheme == "https" else 80)
+    with requests.Session() as session:
         settings = session.merge_environment_settings(url, {}, None, None, None)
-        session.trust_env = False
-        settings["auth"] = requests.utils.get_netrc_auth(url)
-        url_settings[url] = settings
-    return session, settings
+    headers = {"Content-Type": "application/json"}
+    credentials = requests.utils.get_netrc_auth(url) or requests.utils.get_auth_from_url(url)
+    if any(credentials):
+        headers["Authorization"] = requests.auth._basic_auth_str(*credentials)
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    address, tunnel = (parts.hostname, port), None
+    proxy = requests.utils.select_proxy(url, settings["proxies"])
+    if proxy:
+        proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
+        proxy_parts = urlsplit(proxy)
+        if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+            raise ValueError(f"not a plain-HTTP proxy: {proxy!r}")
+        user, password = requests.utils.get_auth_from_url(proxy)
+        proxy_headers = {}
+        if user:
+            proxy_headers["Proxy-Authorization"] = requests.auth._basic_auth_str(user, password)
+        address = (proxy_parts.hostname, proxy_parts.port or 80)
+        if parts.scheme == "https":
+            tunnel = (parts.hostname, port, proxy_headers)
+        else:
+            target = requests.utils.urldefragauth(url)
+            headers.update(proxy_headers)
+    key = (parts.scheme, parts.hostname, port, proxy)
+    connection = connections.get(key)
+    if connection is None:
+        if parts.scheme == "https":
+            verify = settings["verify"]
+            ca = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+            context = ssl.create_default_context(
+                **({"capath": ca} if os.path.isdir(ca) else {"cafile": ca})
+            )
+            connection = HTTPSConnection(*address, context=context)
+            if tunnel:
+                connection.set_tunnel(*tunnel)
+        else:
+            connection = HTTPConnection(*address)
+        connections[key] = connection
+    return connection, target, headers
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+def _exchange(
+    connection: HTTPConnection, target: str, body: bytes, headers: dict[str, str], deadline: float
+) -> tuple[int, bytes]:
+    """POST *body* over *connection* and read the whole reply: its status
+    and body. Each socket operation waits at most until *deadline*.
+
+    A kept-alive connection found closed before any reply arrives is opened
+    again once. Any failure, and a status below 200, closes the connection,
+    as http.client does itself after a reply that ends it; the next request
+    opens it again."""
+    reopen = connection.sock is not None
+    try:
+        while True:
+            connection.timeout = _time_left(deadline)
+            if connection.sock is not None:
+                connection.sock.settimeout(connection.timeout)
+            try:
+                connection.request("POST", target, body, headers)
+                connection.sock.settimeout(_time_left(deadline))
+                response = connection.getresponse()
+                break
+            except ConnectionError:
+                if not reopen:
+                    raise
+                reopen = False
+                connection.close()
+        data = response.read()
+        if response.status < 200:
+            raise HTTPException(f"HTTP {response.status} is not a final reply")
+        return response.status, data
+    except BaseException:
+        connection.close()
+        raise
+
+
+def _error_detail(data: bytes) -> str:
+    """What a rejection's body says: its JSON ``error``, else its first 200
+    characters."""
+    try:
+        reply = json.loads(data)
+    except (ValueError, RecursionError):
+        reply = None
+    if isinstance(reply, dict):
+        detail = reply.get("error", "")
+    else:
+        detail = data.decode("utf-8", "replace")[:200]
+    return detail if _is_text(detail) else ascii(detail)
 
 
 def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
-    """POST *payload* as JSON, retrying transient failures with backoff.
+    """POST *payload* as JSON and return the reply's JSON object.
 
-    Connection errors, timeouts, 5xx responses and unparseable bodies are
-    retried up to ``max_retries`` extra times; other non-200 statuses raise
-    :class:`RequestRejected` immediately.
+    Connection errors, timeouts, protocol errors (including an informational
+    status that is the only reply), 5xx responses and bodies that are not a
+    JSON object are retried up to ``max_retries`` extra times, with backoff.
+    Any other status but 200 raises :class:`RequestRejected` at once; a
+    redirect (3xx) is not followed, so it is rejected too.
 
-    Each thread keeps one connection per backend alive across calls. The
-    environment's proxy, CA bundle and ``.netrc`` settings for *url* are
-    read on the thread's first call to it; a later change to the
-    environment is not seen by that thread for that URL.
+    ``timeout_ms`` bounds the whole call: every attempt, reconnection and
+    backoff sleep. Each socket timeout is the time left, and no attempt or
+    sleep starts that the time left cannot hold; the call then raises
+    :class:`BackendUnavailable` naming the last error.
+
+    Each thread keeps one connection per backend origin alive across calls,
+    and opens it again once, without spending a retry, when the server
+    turns out to have closed it before replying. The environment's proxy,
+    CA bundle and ``.netrc`` settings for *url* are read on the thread's
+    first call to it; a later change to the environment is not seen by that
+    thread for that URL. No cookies are kept.
     """
-    session, settings = _session_and_settings(url)
-    attempts = endpoints.max_retries + 1
+    deadline = time.monotonic() + endpoints.timeout_ms / 1000.0
+    try:
+        connection, target, headers = _route(url)
+    except (ValueError, OSError) as exc:
+        raise BackendUnavailable(f"{url} cannot be used: {exc}") from exc
+    body = json.dumps(payload).encode()
     delay = RETRY_BASE_DELAY_SECONDS
     last_error: Exception | None = None
-    for attempt in range(attempts):
-        if attempt:
+    attempts = 0
+    while attempts <= endpoints.max_retries:
+        if attempts:
+            if time.monotonic() + delay >= deadline:
+                break
             time.sleep(delay)
             delay *= 2
+        attempts += 1
         try:
-            response = session.post(
-                url, json=payload, timeout=endpoints.timeout_ms / 1000.0, **settings
-            )
-        except requests.RequestException as exc:
+            status, data = _exchange(connection, target, body, headers, deadline)
+        except (HTTPException, OSError) as exc:
             last_error = exc
             continue
-        if response.status_code >= 500:
-            last_error = RuntimeError(f"HTTP {response.status_code}")
+        if status >= 500:
+            last_error = RuntimeError(f"HTTP {status}")
             continue
-        if response.status_code != 200:
-            try:
-                reply = response.json()
-            except (ValueError, RecursionError):
-                reply = None
-            detail = reply.get("error", "") if isinstance(reply, dict) else response.text[:200]
-            if not _is_text(detail):
-                detail = ascii(detail)
+        if status != 200:
             raise RequestRejected(
-                f"{url} rejected request: HTTP {response.status_code} {detail}".rstrip()
+                f"{url} rejected request: HTTP {status} {_error_detail(data)}".rstrip()
             )
         try:
-            body = response.json()
+            reply = json.loads(data)
         except (ValueError, RecursionError) as exc:
             last_error = exc
             continue
-        if not isinstance(body, dict):
-            last_error = RuntimeError("response body is not a JSON object")
-            continue
-        return body
+        if isinstance(reply, dict):
+            return reply
+        last_error = RuntimeError("response body is not a JSON object")
     raise BackendUnavailable(f"{url} unavailable after {attempts} attempt(s): {last_error}")
 
 

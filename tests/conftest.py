@@ -70,13 +70,13 @@ class _CannedHandler(BaseHTTPRequestHandler):
             self._reply(404, {"error": "unscripted path"})
             return
         self.server.hits[self.path] = self.server.hits.get(self.path, 0) + 1
-        status, payload = script.pop(0) if len(script) > 1 else script[0]
+        status, payload, *headers = script.pop(0) if len(script) > 1 else script[0]
         length = int(self.headers.get("Content-Length") or 0)
         body = self.rfile.read(length)
         self.server.requests.append((self.path, json.loads(body or b"null")))
-        self._reply(status, payload)
+        self._reply(status, payload, *headers)
 
-    def _reply(self, status, payload):
+    def _reply(self, status, payload, headers=None):
         if isinstance(payload, (bytes, str)):
             data = payload.encode("utf-8") if isinstance(payload, str) else payload
         else:
@@ -84,14 +84,16 @@ class _CannedHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
 
 class CannedBackend(ThreadingHTTPServer):
-    """Serves scripted (status, payload) responses per path, in order; the
-    last entry repeats. A str/bytes payload is sent verbatim (for malformed
-    body tests)."""
+    """Serves scripted (status, payload) or (status, payload, headers)
+    responses per path, in order; the last entry repeats. A str/bytes
+    payload is sent verbatim (for malformed body tests)."""
 
     daemon_threads = True
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
+import socket
 import statistics
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -12,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CannedBackend, serve_in_thread
+from faqgen import gateway
 from faqgen.chunker import Chunk, SourceDocument, segment_sentences
 from faqgen.domains import InvalidDomain, default_lexicon
 from faqgen.gateway import (
+    RETRY_BASE_DELAY_SECONDS,
     AnswerPhrase,
     BackendEndpointSet,
     BackendUnavailable,
@@ -448,6 +453,45 @@ def serving(server):
 LONG_CONTEXT = " ".join(f"Topic{i} is sentence number {i} here." for i in range(400))
 
 
+class AnswersAnyPath(BaseHTTPRequestHandler):
+    """Answers every POST with 200 ``{"domain": <path>}`` on a kept-alive
+    connection: after 0.3 s for /v1/slow, and after a lone 102 status for
+    /v1/interim. Records each request's client port in ``server.ports``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.ports.append(self.client_address[1])
+        if self.path == "/v1/slow":
+            time.sleep(0.3)
+        elif self.path == "/v1/interim":
+            self.wfile.write(b"HTTP/1.1 102 Processing\r\n\r\n")
+        data = json.dumps({"domain": self.path}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.fixture
+def own_routes(monkeypatch):
+    """No routes or connections on this thread when the test starts: routes
+    cached by earlier tests would move the call at which the thread starts
+    afresh (``gateway._MAX_ROUTES``)."""
+    monkeypatch.setattr(gateway, "_thread", threading.local())
+
+
+def any_path_server(handler=AnswersAnyPath) -> ThreadingHTTPServer:
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    server.ports = []
+    return server
+
+
 class TestTransport:
     @pytest.mark.parametrize(
         "step,payload",
@@ -504,6 +548,139 @@ class TestTransport:
                 post_json(f"{url}/v1/domain", {"context": "x"}, BackendEndpointSet())
         assert cookies == [None, None, None]
 
+    def test_connection_sets_tcp_nodelay(self, stub_server_url):
+        # http.client sends a request's headers and body in two writes; the
+        # second must not wait for the ACK of the first (Nagle).
+        url = f"{stub_server_url}/v1/domain"
+        post_json(url, {"context": THREE_SENTENCES}, BackendEndpointSet())
+        connection = gateway._route(url)[0]
+        assert connection.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_connection_closed_after_reply_is_reopened_without_a_retry(self):
+        class ClosesSilently(AnswersAnyPath):
+            def do_POST(self):
+                super().do_POST()
+                # No "Connection: close": the client finds out on its next call.
+                self.close_connection = True
+
+        server = any_path_server(ClosesSilently)
+        endpoints = BackendEndpointSet(max_retries=0)
+        with serving(server) as url:
+            start = time.perf_counter()
+            replies = [post_json(f"{url}/v1/domain", {"context": "x"}, endpoints)
+                       for _ in range(3)]
+            seconds = time.perf_counter() - start
+        assert replies == [{"domain": "/v1/domain"}] * 3
+        assert len(set(server.ports)) == 3
+        assert seconds < RETRY_BASE_DELAY_SECONDS
+
+    @pytest.mark.parametrize("path", ["/v1/slow", "/v1/interim"])
+    def test_failed_exchange_drops_the_kept_alive_connection(self, own_routes, path):
+        # A reply that comes too late, or an interim (1xx) status alone, fails
+        # the call; what the server sends after it must not answer the next.
+        server = any_path_server()
+        with serving(server) as url:
+            healthy = [post_json(f"{url}/v1/domain", {}, BackendEndpointSet())]
+            with pytest.raises(BackendUnavailable):
+                post_json(f"{url}{path}", {}, BackendEndpointSet(timeout_ms=100, max_retries=0))
+            healthy.append(post_json(f"{url}/v1/domain", {}, BackendEndpointSet()))
+        assert healthy == [{"domain": "/v1/domain"}] * 2
+        assert len(set(server.ports)) == 2
+
+    def test_thread_closes_its_connections_when_it_ends(self, stub_server_url):
+        def post():
+            post_json(f"{stub_server_url}/v1/domain", {"context": "x"}, BackendEndpointSet())
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            thread = threading.Thread(target=post)
+            thread.start()
+            thread.join(10)
+            gc.collect()
+        assert not thread.is_alive()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_many_urls_do_not_keep_many_connections(self, own_routes):
+        server = any_path_server()
+        with serving(server) as url:
+            for index in range(gateway._MAX_ROUTES + 1):
+                post_json(f"{url}/v1/{index}", {}, BackendEndpointSet())
+        # One connection for the first _MAX_ROUTES URLs; the next closed it.
+        assert len(set(server.ports)) == 2
+
+    def test_redirect_is_rejected_not_followed(self, canned_backend):
+        target_url, target = canned_backend({"/v1/domain": [(200, {"domain": "Music"})]})
+        moved = {"Location": f"{target_url}/v1/domain"}
+        url, server = canned_backend({"/v1/domain": [(307, {"error": "moved"}, moved)]})
+        with pytest.raises(RequestRejected, match="HTTP 307 moved"):
+            post_json(f"{url}/v1/domain", {"context": "x"}, BackendEndpointSet(max_retries=3))
+        assert server.hits == {"/v1/domain": 1}
+        assert target.hits == {}
+
+    @pytest.mark.parametrize("url", [
+        "ftp://127.0.0.1/v1/domain",
+        "http:///v1/domain",
+        "http://127.0.0.1:99999/v1/domain",
+        f"http://{'a' * 64}.invalid/v1/domain",  # a label no resolver takes
+    ])
+    def test_unusable_url_is_unavailable_at_once(self, url):
+        start = time.perf_counter()
+        with pytest.raises(BackendUnavailable, match="cannot be used"):
+            post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=10))
+        assert time.perf_counter() - start < RETRY_BASE_DELAY_SECONDS
+
+
+class TestCallDeadline:
+    """``timeout_ms`` bounds one call in total: attempts, reconnections and
+    backoff sleeps."""
+
+    TIMEOUT_MS = 300
+    # Scheduling and a one-chunk run; far below one backoff round trip.
+    MARGIN_S = 0.5
+
+    @pytest.fixture
+    def sleeping_backend(self):
+        """A backend that holds every request until the test ends."""
+        release = threading.Event()
+        hits = []
+
+        class Sleeps(BaseHTTPRequestHandler):
+            def log_message(self, fmt, *args):
+                pass
+
+            def do_POST(self):
+                hits.append(self.path)
+                release.wait(10)
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Sleeps)
+        server.daemon_threads = True
+        with serving(server) as url:
+            yield url, hits
+            release.set()
+
+    def endpoints(self, **urls) -> BackendEndpointSet:
+        return BackendEndpointSet(**urls, timeout_ms=self.TIMEOUT_MS, max_retries=10)
+
+    def test_post_json_ends_at_the_deadline(self, sleeping_backend):
+        url, hits = sleeping_backend
+        start = time.perf_counter()
+        with pytest.raises(BackendUnavailable, match="after 1 attempt.*timed out"):
+            post_json(f"{url}/v1/domain", {"context": "x"}, self.endpoints())
+        seconds = time.perf_counter() - start
+        assert self.TIMEOUT_MS / 1000 <= seconds < self.TIMEOUT_MS / 1000 + self.MARGIN_S
+        assert hits == ["/v1/domain"]
+
+    @pytest.mark.parametrize("step,kind", [("questions", "ChunkSkipped"),
+                                           ("answer_phrase", "QuestionDropped")])
+    def test_run_ends_within_the_deadline(self, sleeping_backend, step, kind):
+        url, _ = sleeping_backend
+        config = PipelineConfig(endpoints=self.endpoints(**{f"{step}_url": f"{url}/v1/{step}"}))
+        document = SourceDocument.from_text("doc", "Cats sleep daily.")
+        start = time.perf_counter()
+        result = run(document, config)
+        assert time.perf_counter() - start < self.TIMEOUT_MS / 1000 + self.MARGIN_S
+        assert kind in [w.kind for w in result.warnings]
+
 
 def set_proxy_environment(monkeypatch, proxy_url: str, no_proxy: str = "") -> None:
     for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
@@ -536,6 +713,56 @@ class TestProxyEnvironment:
         assert reply == {"domain": "Music"}
         assert backend.requests == [("/v1/domain", {"context": "x"})]
         assert proxy.requests == []
+
+    @pytest.mark.parametrize("scheme,request_line", [
+        ("http", "POST http://credentials.invalid/v1/domain"),
+        ("https", "CONNECT credentials.invalid:443"),
+    ])
+    def test_proxy_credentials_become_proxy_authorization(self, monkeypatch, scheme,
+                                                          request_line):
+        # A plain-HTTP proxy is sent the request; an HTTPS one is tunnelled.
+        server = RecordingServer()
+        with serving(server) as proxy_url:
+            set_proxy_environment(monkeypatch, proxy_url.replace("//", "//user:secret@"))
+            monkeypatch.setenv("HTTPS_PROXY", proxy_url.replace("//", "//user:secret@"))
+            with pytest.raises(GatewayError):
+                post_json(f"{scheme}://credentials.invalid/v1/domain", {"context": "x"},
+                          BackendEndpointSet(max_retries=0))
+        assert server.seen == [(request_line, "Basic dXNlcjpzZWNyZXQ=", None)]
+
+    def test_netrc_credentials_become_authorization(self, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        server = RecordingServer()
+        with serving(server) as url:
+            with pytest.raises(GatewayError):
+                post_json(f"{url}/v1/netrc", {"context": "x"}, BackendEndpointSet(max_retries=0))
+        assert server.seen == [("POST /v1/netrc", None, "Basic dXNlcjpzZWNyZXQ=")]
+
+
+class _RecordingHandler(BaseHTTPRequestHandler):
+    def log_message(self, fmt, *args):
+        pass
+
+    def _record_and_refuse(self):
+        headers = self.headers
+        self.server.seen.append((f"{self.command} {self.path}",
+                                 headers.get("Proxy-Authorization"), headers.get("Authorization")))
+        self.send_error(403)
+
+    do_POST = do_CONNECT = _record_and_refuse
+
+
+class RecordingServer(ThreadingHTTPServer):
+    """Records each request's line and its two credential headers, and
+    refuses it with 403."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        self.seen: list[tuple[str, str | None, str | None]] = []
+        super().__init__(("127.0.0.1", 0), _RecordingHandler)
 
 
 # Replies a remote backend might send. Text may hold an escaped lone
