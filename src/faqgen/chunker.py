@@ -11,11 +11,13 @@ sentences, so the in-process steps never split its text again, and
 tokenizes each of them once for all its readers.
 
 The token rules live here alone: ``word_tokens`` splits text into tokens
-and ``content_tokens`` keeps those not in ``STOPWORDS_V1``.
+and ``content_tokens`` keeps those not in ``STOPWORDS_V1``. So does the rule
+that makes every input file's bytes text, ``decode_utf8``.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 import string
 from collections import Counter
@@ -74,6 +76,17 @@ class SourceDocument:
     @property
     def word_count(self) -> int:
         return word_count(self.raw_text)
+
+
+def decode_utf8(data: bytes) -> str:
+    """*data*, a file's bytes, as UTF-8 after any leading byte-order mark. A
+    bad byte raises a ValueError with its offset in *data*, the mark counted."""
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # utf-8-sig counts from after the mark it drops.
+        raise ValueError(f"not UTF-8 at byte offset {exc.start + bom} ({exc.reason})") from None
 
 
 @dataclass(frozen=True)

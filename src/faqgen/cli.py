@@ -10,6 +10,7 @@ lexicon), an ``OSError`` for a file or address it cannot use and a
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import contextmanager
@@ -17,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
-from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks
+from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks, decode_utf8
 from .datasets import (
     DEFAULT_ROW_FLOOR,
     build_ac_dataset,
@@ -67,12 +68,11 @@ def _require_file(path: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of the UTF-8 file at *path*; other bytes raise a ValueError
-    that names the file and the offset of the first bad byte."""
-    try:
-        return Path(_require_file(path)).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
+    """The text of the file at *path* (``decode_utf8``), "\\r\\n" and "\\r" read
+    as "\\n" as a text-mode file reads them; a bad byte's error names the file."""
+    data = Path(_require_file(path)).read_bytes()
+    with _naming(path):
+        return io.StringIO(decode_utf8(data), newline=None).read()
 
 
 def _read_document(path: str) -> SourceDocument:
@@ -249,9 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="number of FAQs to return")
     generate.add_argument("--config", help="config file (key = value lines)")
     generate.add_argument("--workers", type=_positive_int,
-                          help="chunk worker count (default 1); each worker thread keeps "
-                          "one connection per backend. Against a local serve-stub on "
-                          "2 CPUs: about 8, 9 and 10 docs/s with 1, 2 and 4 workers")
+                          help="chunk worker count (default 1); more help only while steps "
+                          "wait on remote backends (see the README). Each document starts "
+                          "new worker threads, which resolve every backend URL again and "
+                          "open new connections")
     generate.add_argument("--output", help="write the result JSON here instead of stdout")
     generate.set_defaults(handler=_cmd_generate)
 

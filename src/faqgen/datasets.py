@@ -8,11 +8,13 @@ custom rows, with or without the completed-answer column.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
+from .chunker import decode_utf8
 from .domains import DOMAINS, parse_domain
 
 DEFAULT_ROW_FLOOR = 750
@@ -97,7 +99,7 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
     path of the offender. Multiple annotated answers collapse to the first.
     """
     if isinstance(raw, (bytes, bytearray)):
-        raw = raw.decode("utf-8")
+        raw = decode_utf8(raw)
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -209,36 +211,32 @@ def read_csv_table(
     make: Callable[..., Record],
     error: Callable[[str], ValueError],
 ) -> list[Record]:
-    """The records of the UTF-8 CSV at *path*: *make* builds one from the
-    cells of each row after the *header* row.
+    """The records of the CSV at *path* (``decode_utf8``): *make* builds one
+    from the cells of each row after the *header* row.
 
     A wrong header, a row with the wrong number of fields, a CSV syntax error
     or a record *make* rejects with a ``ValueError`` raises ``error(detail)``,
-    where *detail* names the line of the file. Bytes that are not UTF-8 raise
-    it with the byte offset of the first bad byte in place of a line.
+    where *detail* names the line of the file. A bad byte raises it with the
+    byte offset of the first bad byte in place of a line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        records: list[Record] = []
-        try:
-            first = next(reader, None)
-            if first != header:
-                raise ValueError(f"expected header {header}, got {first}")
-            for cells in reader:
-                if len(cells) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-                records.append(make(*cells))
-        except UnicodeDecodeError:
-            # The file is decoded in blocks, and the error's offset is within
-            # its block; decoding the whole file gives the file's offset.
-            try:
-                Path(path).read_bytes().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"not UTF-8 at byte offset {exc.start} ({exc.reason})") from None
-            raise
-        except (csv.Error, ValueError) as exc:
-            raise error(f"line {reader.line_num or 1}: {exc}") from exc
-        return records
+    try:
+        text = decode_utf8(Path(path).read_bytes())
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    # newline="" keeps line ends as they are, so a quoted cell keeps "\r\n".
+    reader = csv.reader(io.StringIO(text, newline=""))
+    records: list[Record] = []
+    try:
+        first = next(reader, None)
+        if first != header:
+            raise ValueError(f"expected header {header}, got {first}")
+        for cells in reader:
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
+            records.append(make(*cells))
+    except (csv.Error, ValueError) as exc:
+        raise error(f"line {reader.line_num or 1}: {exc}") from exc
+    return records
 
 
 def domain_slug(domain: str) -> str:

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .chunker import word_tokens
+from .chunker import decode_utf8, word_tokens
 
 # Canonical (alphabetical) order; ties in classification break toward the
 # earlier entry.
@@ -129,21 +129,15 @@ def _parse_lexicon_lines(lines: Iterable[str]) -> DomainLexicon:
 
 
 def load_lexicon(path: str | Path) -> DomainLexicon:
-    """Load a tab-separated ``<domain>\\t<term>`` lexicon file.
+    """Load a tab-separated ``<domain>\\t<term>`` lexicon file (``decode_utf8``).
 
-    A malformed or non-UTF-8 file raises :class:`LexiconFormatError` naming
-    *path*; the file is decoded whole, so a bad byte's offset is the file's.
+    A malformed file or a bad byte raises :class:`LexiconFormatError` naming *path*.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconFormatError(
-            f"{path}: not UTF-8 at byte offset {exc.start} ({exc.reason})"
-        ) from None
-    try:
+        text = decode_utf8(Path(path).read_bytes())
         # Read as a text-mode file reads it: "\r\n" and "\r" end lines too.
         return _parse_lexicon_lines(io.StringIO(text, newline=None))
-    except LexiconFormatError as exc:
+    except ValueError as exc:
         raise LexiconFormatError(f"{path}: {exc}") from None
 
 

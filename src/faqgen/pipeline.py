@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from .chunker import DEFAULT_CHUNK_WORDS, Chunk, SourceDocument, build_chunks
-from .domains import DomainLexicon, InvalidDomain, classify, default_lexicon, load_lexicon
+from .domains import DomainLexicon, InvalidDomain, default_lexicon, load_lexicon
 from .gateway import (
     DEFAULT_QUESTION_CAP,
     BackendEndpointSet,
@@ -122,8 +122,8 @@ def chunk_domain(
 ) -> tuple[str, list[PipelineWarning]]:
     """Step 2: the domain of *chunk*, with any warning it raised.
 
-    When the domain step fails, the lexicon classifier answers instead and
-    a ``ClassifierFallback`` warning says so.
+    When the domain step fails, its built-in stub, the lexicon classifier,
+    answers instead and a ``ClassifierFallback`` warning says so.
     """
     try:
         return identify_domain(chunk, lexicon, cfg.endpoints), []
@@ -134,8 +134,7 @@ def chunk_domain(
             f"({exc}); used lexicon fallback",
             chunk_index=chunk.index,
         )
-        tokens = chain.from_iterable(chunk.sentence_tokens)
-        return classify(chunk.context, lexicon, tokens), [warning]
+        return identify_domain(chunk, lexicon), [warning]
 
 
 def process_chunk(

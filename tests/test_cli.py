@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import http.client
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -522,6 +524,133 @@ class TestMalformedInputExits1:
         assert run_cli(argv, {}) == 1
         assert one_error_line(capsys.readouterr().err) == f"{squad}: {path}: missing or blank"
         assert not output.exists()
+
+
+BOM = codecs.BOM_UTF8
+
+
+def input_files(tmp_path: Path, document: str) -> dict[str, bytes]:
+    """A valid copy of every kind of input file, by file name; the configs
+    and the squad-group call name the others relative to the working
+    directory."""
+    packaged = (Path(faqgen.__file__).parent / "data" / "lexicon_v1.txt").read_bytes()
+    return {
+        "fixture.txt": document.encode(),
+        "faqgen.conf": b"# pipeline settings\nchunk_size_words = 30\n",
+        "lexicon.conf": b"chunk_size_words = 30\nlexicon_path = lexicon.txt\n",
+        "lexicon.txt": packaged + b"Gaming\tquantum\n",
+        "squad.json": squad_file(tmp_path).read_bytes(),
+        "custom.csv": (CUSTOM_HEADER_LINE + "Ctx.,Q?,phrase,Complete sentence.\n").encode(),
+        "sheet.csv": (REVIEW_HEADER_LINE + "d1,Gaming,r1,8,9,7,6,10\n"
+                      "d1,Gaming,r2,9,9,8,6,9\n").encode(),
+    }
+
+
+def run_in(work: Path, monkeypatch, capsys, argv: list[str]) -> tuple:
+    """Exit code, stdout, stderr and every file in *work* after *argv* ran
+    there."""
+    monkeypatch.chdir(work)
+    code = run_cli(argv, {})
+    files = {path.relative_to(work): path.read_bytes() for path in work.rglob("*") if path.is_file()}
+    return code, *capsys.readouterr(), files
+
+
+class TestInputFileBytes:
+    """Every input file is UTF-8; a leading byte-order mark is ignored, and a
+    bad byte's offset counts from the file's first byte."""
+
+    @pytest.mark.parametrize("bom_file, argv", [
+        pytest.param("fixture.txt", ["generate", "--input", "fixture.txt", "--count", "5"],
+                     id="generate"),
+        pytest.param("fixture.txt", ["chunk", "--input", "fixture.txt", "--size", "30"],
+                     id="chunk"),
+        pytest.param("faqgen.conf", ["generate", "--input", "fixture.txt", "--count", "5",
+                                     "--config", "faqgen.conf", "--output", "out.json"],
+                     id="config"),
+        pytest.param("squad.json", ["dataset", "build-ae", "--squad", "squad.json",
+                                    "--output", "ae.csv"], id="build-ae-squad"),
+        pytest.param("custom.csv", ["dataset", "build-ac", "--custom", "custom.csv",
+                                    "--output", "ac.csv"], id="build-ac-custom"),
+        pytest.param("custom.csv", ["dataset", "build-ae", "--squad", "squad.json",
+                                    "--custom", "custom.csv", "--output", "ae.csv"],
+                     id="build-ae-custom"),
+        pytest.param("sheet.csv", ["eval", "aggregate", "--input", "sheet.csv"],
+                     id="eval-aggregate"),
+        pytest.param("lexicon.txt", ["dataset", "squad-group", "--squad", "squad.json",
+                                     "--lexicon", "lexicon.txt", "--output-dir", "tables"],
+                     id="squad-group-lexicon"),
+        pytest.param("lexicon.txt", ["classify", "--input", "fixture.txt",
+                                     "--config", "lexicon.conf"], id="config-lexicon-path"),
+    ])
+    def test_bom_changes_nothing(
+        self, tmp_path, monkeypatch, capsys, fixture_document_text, bom_file, argv
+    ):
+        runs = []
+        for prefix in (b"", BOM):
+            work = tmp_path / ("bom" if prefix else "plain")
+            work.mkdir()
+            for name, data in input_files(tmp_path, fixture_document_text).items():
+                (work / name).write_bytes(prefix + data if name == bom_file else data)
+            code, out, err, files = run_in(work, monkeypatch, capsys, argv)
+            assert code == 0, err
+            files.pop(Path(bom_file))
+            runs.append((out, err, files))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--input", "{bad}", "--count", "5"],
+        ["generate", "--input", "{doc}", "--count", "5", "--config", "{bad}"],
+        ["dataset", "build-ae", "--squad", "{bad}", "--output", "{out}"],
+        ["dataset", "build-ac", "--custom", "{bad}", "--output", "{out}"],
+        ["eval", "aggregate", "--input", "{bad}"],
+        ["dataset", "squad-group", "--squad", "{squad}", "--lexicon", "{bad}",
+         "--output-dir", "{out}"],
+    ], ids=["document", "config", "squad", "custom", "sheet", "lexicon"])
+    def test_bad_byte_after_bom_names_file_offset(self, tmp_path, doc_file, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(BOM + b"Gaming\tjaz\xe9z\n")
+        places = {"bad": str(bad), "doc": str(doc_file), "out": str(tmp_path / "out"),
+                  "squad": str(squad_file(tmp_path))}
+        assert run_cli([fill(arg, places) for arg in argv], {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{bad}: not UTF-8 at byte offset 13 (invalid continuation byte)"
+        )
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_document_line_ends_read_as_lf(
+        self, tmp_path, monkeypatch, capsys, fixture_document_text, newline
+    ):
+        # Lines of 50 characters, so that sentences wrap across them.
+        text = textwrap.fill(fixture_document_text, width=50) + "\n"
+        outputs = []
+        for name, line_end in (("lf", "\n"), ("other", newline)):
+            work = tmp_path / name
+            work.mkdir()
+            (work / "fixture.txt").write_bytes(text.replace("\n", line_end).encode())
+            argv = ["generate", "--input", "fixture.txt", "--count", "100"]
+            code, out, _, _ = run_in(work, monkeypatch, capsys, argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        # An answer is a sentence, and keeps its line break.
+        assert "\\n" in outputs[0]
+
+    CRLF_CELL_ROW = b'"Line one.\r\nLine two.",Q?,phrase,Done.\r\n'
+
+    def test_quoted_crlf_cell_survives_build_ac(self, tmp_path):
+        custom = tmp_path / "custom.csv"
+        custom.write_bytes(CUSTOM_HEADER_LINE.encode() + self.CRLF_CELL_ROW)
+        output = tmp_path / "ac.csv"
+        argv = ["dataset", "build-ac", "--custom", str(custom), "--output", str(output)]
+        assert run_cli(argv, {}) == 0
+        assert b'\r\n"Line one.\r\nLine two.",Q?,phrase,Done.\r\n' in output.read_bytes()
+
+    def test_bad_row_after_multiline_cell_names_its_line(self, tmp_path, capsys):
+        custom = tmp_path / "custom.csv"
+        custom.write_bytes(CUSTOM_HEADER_LINE.encode() + self.CRLF_CELL_ROW + b"Ctx.,,phrase,Done.\r\n")
+        argv = ["dataset", "build-ac", "--custom", str(custom), "--output", str(tmp_path / "ac.csv")]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(f"{custom}: line 4: AnswerRow")
 
 
 # A JSON reply may escape a lone surrogate, which UTF-8 cannot encode; as a

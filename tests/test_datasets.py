@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 
@@ -333,6 +334,15 @@ class TestCsvRoundTrips:
         with pytest.raises(MalformedDataset) as excinfo:
             reader(path)
         assert str(excinfo.value).startswith(f"{path}: {detail}")
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        raw = json.dumps(squad_payload()).encode("utf-8")
+        assert parse_squad(codecs.BOM_UTF8 + raw) == parse_squad(raw)
+        path = tmp_path / "custom.csv"
+        rows = [AnswerRow("Ctx.", "Q?", "phrase", "Done.")]
+        write_answer_table(path, rows, include_complete=True)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert read_custom_table(path) == rows
 
 
 class TestNaming:

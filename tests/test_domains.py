@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import codecs
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -85,6 +87,12 @@ class TestLoadLexicon:
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert load_lexicon(path).entries == dict(lexicon.entries)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        packaged = resources.files("faqgen").joinpath("data", "lexicon_v1.txt").read_bytes()
+        path.write_bytes(codecs.BOM_UTF8 + packaged)
+        assert load_lexicon(path) == default_lexicon()
 
     def test_too_few_terms_rejected(self):
         entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}

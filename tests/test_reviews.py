@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import random
@@ -205,6 +206,13 @@ class TestSheetIo:
         records = read_review_sheet(path)
         assert len(records) == 2
         assert records[0].scores == (8, 9, 7, 6, 10)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "sheet.csv"
+        self._write_sheet(path, [["doc1", "Gaming", "r1", 8, 9, 7, 6, 10]])
+        plain = read_review_sheet(path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert read_review_sheet(path) == plain
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "sheet.csv"
