@@ -32,7 +32,7 @@ from .datasets import (
 )
 from .domains import classify, default_lexicon, load_lexicon
 from .gateway import BackendEndpointSet, GatewayError
-from .pipeline import PipelineConfig, PipelineWarning, chunk_domain, config_lexicon, run
+from .pipeline import PipelineConfig, PipelineWarning, chunk_domain, run
 from .reviews import aggregate, format_report, read_review_sheet
 from .stubserver import serve_stub
 
@@ -174,11 +174,10 @@ def _cmd_classify(args: argparse.Namespace, environment: Mapping[str, str]) -> i
         _config_values(args.config, environment), chunk_size_words=args.size
     )
     document = _read_document(args.input)
-    lexicon = config_lexicon(config)
     with _naming(args.input, EmptyDocument):
         chunks = build_chunks(document, config.chunk_size_words)
     for chunk in chunks:
-        domain, warnings = chunk_domain(chunk, config, lexicon)
+        domain, warnings = chunk_domain(chunk, config)
         print(f"{chunk.index}\t{domain}")
         _print_warnings(warnings)
     return 0

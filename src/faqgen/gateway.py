@@ -148,9 +148,9 @@ def _route(url: str) -> tuple[HTTPConnection, str, dict[str, str]]:
 def _resolve(
     url: str, connections: dict[tuple, HTTPConnection]
 ) -> tuple[HTTPConnection, str, dict[str, str]]:
-    """How to reach *url*, reading the environment as requests does: the
-    proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle
-    (``REQUESTS_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own.
+    """How to reach *url*, reading the environment: the proxy (``HTTP_PROXY``,
+    ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle (``REQUESTS_CA_BUNDLE``, else
+    ``CURL_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own.
 
     A plain-HTTP proxy is sent the absolute URI, and an HTTPS URL is
     tunnelled through it (CONNECT); the proxy URL's credentials become
@@ -163,8 +163,6 @@ def _resolve(
         raise ValueError(f"not an http(s) URL: {url!r}")
     parts.hostname.encode("idna")  # raises for a name no resolver takes
     port = parts.port or (443 if parts.scheme == "https" else 80)
-    with requests.Session() as session:
-        settings = session.merge_environment_settings(url, {}, None, None, None)
     headers = {"Content-Type": "application/json"}
     credentials = requests.utils.get_netrc_auth(url) or requests.utils.get_auth_from_url(url)
     if any(credentials):
@@ -173,7 +171,7 @@ def _resolve(
     if parts.query:
         target += "?" + parts.query
     address, tunnel = (parts.hostname, port), None
-    proxy = requests.utils.select_proxy(url, settings["proxies"])
+    proxy = requests.utils.select_proxy(url, requests.utils.get_environ_proxies(url))
     if proxy:
         proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
         proxy_parts = urlsplit(proxy)
@@ -193,8 +191,8 @@ def _resolve(
     connection = connections.get(key)
     if connection is None:
         if parts.scheme == "https":
-            verify = settings["verify"]
-            ca = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+            ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            ca = ca or requests.utils.DEFAULT_CA_BUNDLE_PATH
             context = ssl.create_default_context(
                 **({"capath": ca} if os.path.isdir(ca) else {"cafile": ca})
             )
@@ -232,7 +230,8 @@ def _exchange(
                 connection.sock.settimeout(connection.timeout)
             try:
                 connection.request("POST", target, body, headers)
-                connection.sock.settimeout(_time_left(deadline))
+                sock = connection.sock  # connection.sock is None after a reply that closes it
+                sock.settimeout(_time_left(deadline))
                 response = connection.getresponse()
                 break
             except ConnectionError:
@@ -240,7 +239,10 @@ def _exchange(
                     raise
                 reopen = False
                 connection.close()
-        data = response.read()
+        parts = []  # each read waits at most the time left; settimeout returns None
+        while sock.settimeout(_time_left(deadline)) or (part := response.read1()):
+            parts.append(part)
+        data = b"".join(parts) + response.read()  # read() closes a reply read1() left open
         if response.status < 200:
             raise HTTPException(f"HTTP {response.status} is not a final reply")
         return response.status, data
@@ -272,10 +274,10 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
     Any other status but 200 raises :class:`RequestRejected` at once; a
     redirect (3xx) is not followed, so it is rejected too.
 
-    ``timeout_ms`` bounds the whole call: every attempt, reconnection and
-    backoff sleep. Each socket timeout is the time left, and no attempt or
-    sleep starts that the time left cannot hold; the call then raises
-    :class:`BackendUnavailable` naming the last error.
+    ``timeout_ms`` bounds the whole call, reply bodies and backoff included:
+    each socket timeout is the time left, and no attempt or sleep starts
+    that the time left cannot hold (:class:`BackendUnavailable` names the
+    last error). A header block trickled in is bounded only per read.
 
     Each thread keeps one connection per backend origin alive across calls,
     and opens it again once, without spending a retry, when the server

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -46,6 +47,11 @@ class PipelineConfig:
             raise ValueError("worker_count must be >= 1")
         if self.requested_faq_count < 1:
             raise ValueError("requested_faq_count must be >= 1")
+
+    @cached_property
+    def lexicon(self) -> DomainLexicon:
+        """The lexicon at ``lexicon_path``, else the packaged one, read on first use."""
+        return load_lexicon(self.lexicon_path) if self.lexicon_path else default_lexicon()
 
 
 @dataclass(frozen=True)
@@ -112,21 +118,14 @@ class FaqResult:
         )
 
 
-def config_lexicon(cfg: PipelineConfig) -> DomainLexicon:
-    """The lexicon at ``cfg.lexicon_path``, else the packaged one."""
-    return load_lexicon(cfg.lexicon_path) if cfg.lexicon_path else default_lexicon()
-
-
-def chunk_domain(
-    chunk: Chunk, cfg: PipelineConfig, lexicon: DomainLexicon | None = None
-) -> tuple[str, list[PipelineWarning]]:
+def chunk_domain(chunk: Chunk, cfg: PipelineConfig) -> tuple[str, list[PipelineWarning]]:
     """Step 2: the domain of *chunk*, with any warning it raised.
 
     When the domain step fails, its built-in stub, the lexicon classifier,
     answers instead and a ``ClassifierFallback`` warning says so.
     """
     try:
-        return identify_domain(chunk, lexicon, cfg.endpoints), []
+        return identify_domain(chunk, cfg.lexicon, cfg.endpoints), []
     except (GatewayError, InvalidDomain) as exc:
         warning = PipelineWarning(
             kind="ClassifierFallback",
@@ -134,13 +133,11 @@ def chunk_domain(
             f"({exc}); used lexicon fallback",
             chunk_index=chunk.index,
         )
-        return identify_domain(chunk, lexicon), [warning]
+        return identify_domain(chunk, cfg.lexicon), [warning]
 
 
-def process_chunk(
-    chunk: Chunk, cfg: PipelineConfig, lexicon: DomainLexicon | None = None
-) -> ChunkOutcome:
-    """Run steps 2-5 on one chunk.
+def process_chunk(chunk: Chunk, cfg: PipelineConfig) -> ChunkOutcome:
+    """Run steps 2-5 on one chunk with the settings and lexicon of *cfg*.
 
     Never fails the chunk on backend trouble: generation failure skips the
     whole chunk with a warning, per-question failures drop just that
@@ -148,7 +145,7 @@ def process_chunk(
     keeps only the content counts ranking reads (``Chunk.release``), not
     the context and sentence tokens the built-in stubs shared.
     """
-    domain, warnings = chunk_domain(chunk, cfg, lexicon)
+    domain, warnings = chunk_domain(chunk, cfg)
 
     try:
         questions = generate_questions(chunk, domain, cfg.question_cap, cfg.endpoints)
@@ -189,13 +186,13 @@ def run(doc: SourceDocument, cfg: PipelineConfig) -> FaqResult:
     has finished, and the result is byte-identical for any worker count.
     """
     chunks = build_chunks(doc, cfg.chunk_size_words)
-    lexicon = config_lexicon(cfg)
+    cfg.lexicon  # read here, before any worker, so that workers share one read
 
     if cfg.worker_count == 1 or len(chunks) == 1:
-        outcomes = [process_chunk(chunk, cfg, lexicon) for chunk in chunks]
+        outcomes = [process_chunk(chunk, cfg) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            outcomes = list(pool.map(process_chunk, chunks, repeat(cfg), repeat(lexicon)))
+            outcomes = list(pool.map(process_chunk, chunks, repeat(cfg)))
 
     pairs: list[tuple[QaPair, Chunk]] = []
     warnings: list[PipelineWarning] = []

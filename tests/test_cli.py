@@ -482,6 +482,18 @@ class TestMalformedInputExits1:
             f"{doc}: document 'empty' contains no sentences"
         )
 
+    @pytest.mark.parametrize("command", [["generate", "--count", "1"], ["classify"]])
+    def test_empty_document_is_reported_before_a_bad_lexicon(self, tmp_path, capsys, command):
+        doc = tmp_path / "empty.txt"
+        doc.write_text("   ", encoding="utf-8")
+        config = tmp_path / "bad-lexicon.conf"
+        config.write_text(f"lexicon_path = {tmp_path / 'missing.lex'}\n", encoding="utf-8")
+        argv = [command[0], "--input", str(doc), *command[1:], "--config", str(config)]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{doc}: document 'empty' contains no sentences"
+        )
+
     @pytest.mark.parametrize("row", [",Q?,phrase,Done.", "Ctx.,,phrase,Done.", "Ctx.,Q?,,Done."])
     @pytest.mark.parametrize("command", ["build-ac", "build-ae"])
     def test_dataset_blank_custom_cell(self, tmp_path, capsys, command, row):

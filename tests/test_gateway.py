@@ -682,6 +682,103 @@ class TestCallDeadline:
         assert kind in [w.kind for w in result.warnings]
 
 
+class TestTrickledReply:
+    """A reply whose headers come at once and whose body comes a byte at a
+    time: ``timeout_ms`` bounds the body's reading too, and a body that ends
+    in time is read whole, over the kept-alive connection."""
+
+    BODY = b" " * 40 + b'{"domain": "Gaming"}'
+
+    @pytest.fixture
+    def trickling_backend(self):
+        """Starts a backend that sends a byte of ``BODY`` per *interval*
+        seconds: at /v1/length with a Content-Length, at /v1/chunked as one
+        chunk per byte."""
+        release = threading.Event()
+        servers = []
+
+        class Trickles(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.server.ports.append(self.client_address[1])
+                chunked = self.path == "/v1/chunked"
+                self.send_response(200)
+                if chunked:
+                    self.send_header("Transfer-Encoding", "chunked")
+                else:
+                    self.send_header("Content-Length", str(len(TestTrickledReply.BODY)))
+                self.end_headers()
+                try:
+                    for byte in TestTrickledReply.BODY:
+                        if release.wait(self.server.interval):
+                            return
+                        piece = bytes([byte])
+                        self.wfile.write(b"1\r\n%b\r\n" % piece if chunked else piece)
+                    if chunked:
+                        self.wfile.write(b"0\r\n\r\n")
+                except OSError:  # the client stopped reading
+                    self.close_connection = True
+
+        def start(interval: float) -> tuple[str, ThreadingHTTPServer]:
+            server = any_path_server(Trickles)
+            server.interval = interval
+            servers.append(server)
+            serve_in_thread(server)
+            return f"http://127.0.0.1:{server.server_address[1]}", server
+
+        yield start
+        release.set()
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("framing", ["length", "chunked"])
+    def test_trickled_body_ends_at_the_deadline(self, trickling_backend, framing):
+        # Sent whole, the body would take 3 s.
+        url, _ = trickling_backend(interval=0.05)
+        start = time.perf_counter()
+        with pytest.raises(BackendUnavailable, match="after 1 attempt.*timed out"):
+            post_json(f"{url}/v1/{framing}", {"context": "x"},
+                      BackendEndpointSet(timeout_ms=300, max_retries=0))
+        assert 0.3 <= time.perf_counter() - start < 0.8
+
+    @pytest.mark.parametrize("framing", ["length", "chunked"])
+    def test_trickled_body_in_time_is_read_whole(self, own_routes, trickling_backend, framing):
+        url, server = trickling_backend(interval=0.001)
+        for _ in range(2):
+            reply = post_json(f"{url}/v1/{framing}", {"context": "x"}, BackendEndpointSet())
+            assert reply == {"domain": "Gaming"}
+        # The first reply was read to its end, so the second call reused its
+        # connection.
+        assert len(server.ports) == 2
+        assert len(set(server.ports)) == 1
+
+
+class TestCaBundleEnvironment:
+    # The environment is read once per thread and URL, so each case posts
+    # to a URL that no other test uses.
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    def test_missing_ca_bundle_makes_https_url_unusable_at_once(
+        self, monkeypatch, tmp_path, variable
+    ):
+        # REQUESTS_CA_BUNDLE wins over CURL_CA_BUNDLE, so neither is left set
+        # from the environment the tests run in.
+        monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+        monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+        monkeypatch.setenv(variable, str(tmp_path / "missing.pem"))
+        url = f"https://{variable.lower().replace('_', '-')}.invalid/v1/domain"
+        start = time.perf_counter()
+        with pytest.raises(BackendUnavailable, match="cannot be used"):
+            post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=10))
+        assert time.perf_counter() - start < RETRY_BASE_DELAY_SECONDS
+
+
 def set_proxy_environment(monkeypatch, proxy_url: str, no_proxy: str = "") -> None:
     for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
         monkeypatch.delenv(name, raising=False)

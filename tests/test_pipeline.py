@@ -3,16 +3,21 @@ from __future__ import annotations
 import gc
 import json
 import re
+import time
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import faqgen
 import faqgen.chunker
 import faqgen.gateway
+import faqgen.pipeline
 from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, segment_sentences
-from faqgen.domains import DOMAINS, default_lexicon
+from faqgen.domains import DOMAINS, load_lexicon
 from faqgen.gateway import BackendEndpointSet
-from faqgen.pipeline import PipelineConfig, process_chunk, run
+from faqgen.pipeline import PipelineConfig, chunk_domain, process_chunk, run
 from faqgen.ranker import rank
 from oracles import oracle_tokens
 
@@ -31,7 +36,7 @@ def make_chunk(context: str, index: int = 0) -> Chunk:
 
 class TestProcessChunk:
     def test_three_sentence_stub_composition(self):
-        outcome = process_chunk(make_chunk(THREE_SENTENCES), stub_config(), default_lexicon())
+        outcome = process_chunk(make_chunk(THREE_SENTENCES), stub_config())
         assert [p.q_index for p in outcome.pairs] == [0, 1, 2]
         assert [p.answer.text for p in outcome.pairs] == [
             "Cats sleep daily.",
@@ -42,9 +47,7 @@ class TestProcessChunk:
         assert outcome.warnings == []
 
     def test_single_sentence_chunk(self):
-        outcome = process_chunk(
-            make_chunk("Dogs bark loudly."), stub_config(), default_lexicon()
-        )
+        outcome = process_chunk(make_chunk("Dogs bark loudly."), stub_config())
         assert len(outcome.pairs) == 1
         assert outcome.pairs[0].answer.text == "Dogs bark loudly."
 
@@ -56,7 +59,7 @@ class TestProcessChunk:
                 timeout_ms=500,
             )
         )
-        outcome = process_chunk(make_chunk(THREE_SENTENCES), config, default_lexicon())
+        outcome = process_chunk(make_chunk(THREE_SENTENCES), config)
         assert outcome.pairs == []
         assert [w.kind for w in outcome.warnings] == ["ChunkSkipped"]
         assert outcome.warnings[0].chunk_index == 0
@@ -68,7 +71,7 @@ class TestProcessChunk:
             )
         )
         context = "The quantum experiment used new laboratory technology today."
-        outcome = process_chunk(make_chunk(context), config, default_lexicon())
+        outcome = process_chunk(make_chunk(context), config)
         assert outcome.domain == "Science and Technology"
         assert [w.kind for w in outcome.warnings] == ["ClassifierFallback"]
         assert len(outcome.pairs) >= 1
@@ -78,7 +81,7 @@ class TestProcessChunk:
         config = stub_config(
             endpoints=BackendEndpointSet(domain_url=f"{url}/v1/domain", max_retries=0)
         )
-        outcome = process_chunk(make_chunk(THREE_SENTENCES), config, default_lexicon())
+        outcome = process_chunk(make_chunk(THREE_SENTENCES), config)
         assert outcome.domain == "Literature"
         assert outcome.warnings == []
 
@@ -88,9 +91,69 @@ class TestProcessChunk:
             endpoints=BackendEndpointSet(domain_url=f"{url}/v1/domain", max_retries=0)
         )
         context = "The quantum experiment used new laboratory technology today."
-        outcome = process_chunk(make_chunk(context), config, default_lexicon())
+        outcome = process_chunk(make_chunk(context), config)
         assert outcome.domain == "Science and Technology"
         assert [w.kind for w in outcome.warnings] == ["ClassifierFallback"]
+
+
+class TestConfigLexicon:
+    """A config reads the lexicon at its ``lexicon_path`` once, on first use,
+    and every step that classifies uses it."""
+
+    @pytest.fixture
+    def lexicon_file(self, tmp_path):
+        # The packaged lexicon matches no word of THREE_SENTENCES.
+        packaged = (Path(faqgen.__file__).parent / "data" / "lexicon_v1.txt").read_text("utf-8")
+        path = tmp_path / "lexicon.txt"
+        path.write_text(packaged + "Gaming\tcats\n", encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def loads(self, monkeypatch) -> list:
+        """The path of every lexicon file the pipeline reads from now on. Each
+        read is slowed down, so that workers reading at once would overlap."""
+        paths = []
+
+        def counted(path):
+            paths.append(path)
+            time.sleep(0.05)
+            return load_lexicon(path)
+
+        monkeypatch.setattr(faqgen.pipeline, "load_lexicon", counted)
+        return paths
+
+    def test_process_chunk_and_chunk_domain_use_the_config_lexicon(
+        self, lexicon_file, canned_backend
+    ):
+        config = stub_config(lexicon_path=lexicon_file)
+        assert process_chunk(make_chunk(THREE_SENTENCES), stub_config()).domain != "Gaming"
+        assert process_chunk(make_chunk(THREE_SENTENCES), config).domain == "Gaming"
+        assert chunk_domain(make_chunk(THREE_SENTENCES), config) == ("Gaming", [])
+        # The fallback after a label outside the closed set uses it too.
+        url, _ = canned_backend({"/v1/domain": [(200, {"domain": "Astrology"})]})
+        endpoints = BackendEndpointSet(domain_url=f"{url}/v1/domain", max_retries=0)
+        remote = replace(config, endpoints=endpoints)
+        domain, warnings = chunk_domain(make_chunk(THREE_SENTENCES), remote)
+        assert domain == "Gaming"
+        assert [w.kind for w in warnings] == ["ClassifierFallback"]
+
+    def test_runs_on_one_config_read_the_lexicon_once(
+        self, lexicon_file, loads, fixture_document_text
+    ):
+        doc = SourceDocument.from_text("fixture", fixture_document_text)
+        config = stub_config(lexicon_path=lexicon_file)
+        assert run(doc, config).to_json() == run(doc, config).to_json()
+        assert loads == [lexicon_file]
+        # A replaced config is a new config, which reads the file again.
+        run(doc, replace(config, requested_faq_count=1))
+        assert loads == [lexicon_file] * 2
+
+    def test_workers_share_one_read(self, lexicon_file, loads, fixture_document_text):
+        doc = SourceDocument.from_text("fixture", fixture_document_text)
+        config = stub_config(lexicon_path=lexicon_file, chunk_size_words=5, worker_count=8)
+        result = run(doc, config)
+        assert len(result.per_chunk_domains) > 1
+        assert loads == [lexicon_file]
 
 
 class TestRun:
@@ -100,11 +163,10 @@ class TestRun:
         result = run(doc, config)
 
         # sequential reference: process each chunk by hand, rank, take top 2
-        lexicon = default_lexicon()
         chunks = build_chunks(doc, config.chunk_size_words)
         reference_pairs = []
         for chunk in chunks:
-            outcome = process_chunk(chunk, config, lexicon)
+            outcome = process_chunk(chunk, config)
             reference_pairs.extend((pair, chunk) for pair in outcome.pairs)
         reference = rank(reference_pairs)[:2]
         assert result.faqs == reference
@@ -147,7 +209,7 @@ class TestRun:
 
     def test_sentence_tokens_do_not_outlive_process_chunk(self):
         chunk = make_chunk(THREE_SENTENCES)
-        outcome = process_chunk(chunk, stub_config(), default_lexicon())
+        outcome = process_chunk(chunk, stub_config())
         assert outcome.pairs
         # Ranking reads the counts; no token list stays reachable.
         assert vars(chunk)["content_counts"] == Counter(oracle_tokens(chunk.context))
@@ -172,8 +234,7 @@ class TestRun:
         config = stub_config(requested_faq_count=100)
         result = run(doc, config)
         chunks = build_chunks(doc, config.chunk_size_words)
-        lexicon = default_lexicon()
-        per_chunk = [len(process_chunk(c, config, lexicon).pairs) for c in chunks]
+        per_chunk = [len(process_chunk(c, config).pairs) for c in chunks]
         assert result.total_generated == sum(per_chunk)
         chunk_indices = {c.index for c in chunks}
         for faq in result.faqs:
