@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 DEFAULT_CHUNK_WORDS = 250
 
@@ -172,8 +172,9 @@ def _guarded_abbreviation(head: str) -> bool:
     return head.rsplit(maxsplit=1)[-1].lstrip(string.punctuation) in ABBREVIATIONS_V1
 
 
-def segment_sentences(text: str) -> list[str]:
-    """Split *text* into trimmed sentence texts.
+def iter_sentences(text: str) -> Iterator[str]:
+    """The trimmed sentence texts of *text*, each yielded as soon as the scan
+    finds its end, so a reader that stops early scans no further.
 
     Every '.', '!' or '?' followed by whitespace is a candidate end. It ends
     a sentence when the next non-whitespace character is an uppercase letter
@@ -182,19 +183,27 @@ def segment_sentences(text: str) -> list[str]:
     whitespace and kept when non-empty, so text with no sentence end is one
     sentence and empty or all-whitespace text is none.
     """
-    ends = [0]
+    start = 0
     # The token a candidate closes starts after the previous candidate, so the
     # guard reads only the text since then and segmentation stays linear.
     previous = 0
     for match in _SENTENCE_END.finditer(text):
+        end = match.end()
         following = match[1]
         if (not following or following.isupper() or following.isdigit()) and not (
-            match[0] == "." and _guarded_abbreviation(text[previous : match.end()])
+            match[0] == "." and _guarded_abbreviation(text[previous:end])
         ):
-            ends.append(match.end())
-        previous = match.end()
-    pieces = (text[start:stop].strip() for start, stop in zip(ends, [*ends[1:], len(text)]))
-    return [piece for piece in pieces if piece]
+            if piece := text[start:end].strip():
+                yield piece
+            start = end
+        previous = end
+    if piece := text[start:].strip():
+        yield piece
+
+
+def segment_sentences(text: str) -> list[str]:
+    """``iter_sentences`` of *text*, as a list."""
+    return list(iter_sentences(text))
 
 
 def build_chunks(doc: SourceDocument, m: int = DEFAULT_CHUNK_WORDS) -> list[Chunk]:

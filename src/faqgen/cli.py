@@ -250,8 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--workers", type=_positive_int,
                           help="chunk worker count (default 1); more help only while steps "
                           "wait on remote backends (see the README). Each document starts "
-                          "new worker threads, which resolve every backend URL again and "
-                          "open new connections")
+                          "new worker threads, which open new connections")
     generate.add_argument("--output", help="write the result JSON here instead of stdout")
     generate.set_defaults(handler=_cmd_generate)
 

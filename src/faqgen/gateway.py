@@ -6,11 +6,11 @@ deterministic stub for that step does (``STUB_HANDLERS``, which the stub
 server also serves). In-process a stub reads the chunk's sentences and the
 tokens the chunk computed once for all steps (``Chunk.sentence_tokens``).
 Over HTTP it splits the request's context, which gives the same sentences,
-and tokenizes each sentence only when its scan reaches it. Either way the
-stubs take tokens and content tokens from ``chunker``'s token rules, and the
-reply is parsed and normalised by the same code, so offline and HTTP runs
-give the same results. Stub outputs are pure functions of their inputs so
-end-to-end runs are reproducible offline.
+only as far as its scan reads, and tokenizes each sentence when the scan
+reaches it. Either way the stubs take tokens and content tokens from
+``chunker``'s token rules, and the reply is parsed and normalised by the
+same code, so offline and HTTP runs give the same results. Stub outputs are
+pure functions of their inputs so end-to-end runs are reproducible offline.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 
 import requests
 
-from .chunker import TERMINALS, Chunk, content_tokens, segment_sentences, word_tokens
+from .chunker import TERMINALS, Chunk, content_tokens, iter_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
 
 DEFAULT_QUESTION_CAP = 5
@@ -115,13 +115,17 @@ class CompletedAnswer:
             )
 
 
-# Per thread: per URL the route read from the environment on the thread's
-# first call to it, and per backend origin one kept-alive connection, shared
-# by every URL on that origin. An http.client connection is not thread-safe,
-# so each thread has its own; they are closed when the thread ends.
+# Per process: per URL how to reach it, read from the environment on the
+# process's first call to it. Per thread: per URL that route's connection,
+# one kept-alive connection per backend origin, shared by every URL on that
+# origin. An http.client connection is not thread-safe, so each thread has
+# its own; they are closed when the thread ends.
+_resolved: dict[str, tuple] = {}
+_resolved_lock = threading.Lock()
 _thread = threading.local()
-# Past this many URLs a thread closes its connections and starts afresh, so
-# a thread that calls many backends keeps few sockets open.
+# Past this many URLs the process reads the environment afresh, and a thread
+# closes its connections and starts afresh, so a thread that calls many
+# backends keeps few sockets open.
 _MAX_ROUTES = 32
 
 
@@ -141,22 +145,38 @@ def _route(url: str) -> tuple[HTTPConnection, str, dict[str, str]]:
         if not routes or len(routes) >= _MAX_ROUTES:
             routes = _thread.routes = {}
             _thread.connections = _Connections()
-        route = routes[url] = _resolve(url, _thread.connections)
+        with _resolved_lock:
+            resolved = _resolved.get(url)
+            if resolved is None:
+                resolved = _resolve(url)  # a URL that raises is not kept
+                if len(_resolved) >= _MAX_ROUTES:
+                    _resolved.clear()
+                _resolved[url] = resolved
+        key, target, headers, address, tunnel, context = resolved
+        connection = _thread.connections.get(key)
+        if connection is None:
+            if context is None:
+                connection = HTTPConnection(*address)
+            else:
+                connection = HTTPSConnection(*address, context=context)
+                if tunnel:
+                    connection.set_tunnel(*tunnel)
+            _thread.connections[key] = connection
+        route = routes[url] = connection, target, headers
     return route
 
 
-def _resolve(
-    url: str, connections: dict[tuple, HTTPConnection]
-) -> tuple[HTTPConnection, str, dict[str, str]]:
+def _resolve(url: str) -> tuple:
     """How to reach *url*, reading the environment: the proxy (``HTTP_PROXY``,
     ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle (``REQUESTS_CA_BUNDLE``, else
     ``CURL_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own.
 
     A plain-HTTP proxy is sent the absolute URI, and an HTTPS URL is
     tunnelled through it (CONNECT); the proxy URL's credentials become
-    ``Proxy-Authorization``. The connection is taken from *connections*, or
-    made (not yet opened) and added. Raises ValueError or OSError when *url*
-    or a setting cannot be used."""
+    ``Proxy-Authorization``. Returns the connection's key (its origin and
+    proxy), the request target and headers, the address to connect to, the
+    tunnel, and the SSL context of an HTTPS URL. Raises ValueError or
+    OSError when *url* or a setting cannot be used."""
     url = requests.utils.requote_uri(url)
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -187,22 +207,14 @@ def _resolve(
         else:
             target = requests.utils.urldefragauth(url)
             headers.update(proxy_headers)
-    key = (parts.scheme, parts.hostname, port, proxy)
-    connection = connections.get(key)
-    if connection is None:
-        if parts.scheme == "https":
-            ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-            ca = ca or requests.utils.DEFAULT_CA_BUNDLE_PATH
-            context = ssl.create_default_context(
-                **({"capath": ca} if os.path.isdir(ca) else {"cafile": ca})
-            )
-            connection = HTTPSConnection(*address, context=context)
-            if tunnel:
-                connection.set_tunnel(*tunnel)
-        else:
-            connection = HTTPConnection(*address)
-        connections[key] = connection
-    return connection, target, headers
+    context = None
+    if parts.scheme == "https":
+        ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        ca = ca or requests.utils.DEFAULT_CA_BUNDLE_PATH
+        context = ssl.create_default_context(
+            **({"capath": ca} if os.path.isdir(ca) else {"cafile": ca})
+        )
+    return (parts.scheme, parts.hostname, port, proxy), target, headers, address, tunnel, context
 
 
 def _time_left(deadline: float) -> float:
@@ -282,9 +294,9 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
     Each thread keeps one connection per backend origin alive across calls,
     and opens it again once, without spending a retry, when the server
     turns out to have closed it before replying. The environment's proxy,
-    CA bundle and ``.netrc`` settings for *url* are read on the thread's
-    first call to it; a later change to the environment is not seen by that
-    thread for that URL. No cookies are kept.
+    CA bundle and ``.netrc`` settings for *url* are read on the process's
+    first call to it, for every thread; a later change to the environment is
+    not seen for that URL. No cookies are kept.
     """
     deadline = time.monotonic() + endpoints.timeout_ms / 1000.0
     try:
@@ -329,10 +341,11 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
 # Stub handlers, one per step: one wire-protocol request body in, one reply
 # body out. In-process the gateway also passes the request's chunk, and the
 # handler reads the chunk's sentences and their tokens, computed once for all
-# steps. The stub server passes None: the handler splits the request's context
-# and tokenizes each sentence only when its scan reaches it, since the answer
-# handlers stop at the question's sentence. Invalid requests raise
-# RequestRejected, which the stub server sends as 422.
+# steps. The stub server passes None: the handler finds and tokenizes each
+# sentence of the request's context only when its scan reaches it, since the
+# questions handler stops after *cap* sentences and the answer handlers at the
+# question's sentence. Invalid requests raise RequestRejected, which the stub
+# server sends as 422.
 # ---------------------------------------------------------------------------
 
 
@@ -345,9 +358,10 @@ def _required_text(body: dict, key: str) -> str:
 
 def _tokenized(context: str, chunk: Chunk | None) -> Iterable[tuple[str, list[str]]]:
     """Each sentence of *context* with its tokens (stopwords kept): the
-    chunk's, else *context* split, each sentence tokenized when reached."""
+    chunk's, else each sentence of *context* found and tokenized when
+    reached."""
     if chunk is None:
-        return ((sentence, word_tokens(sentence)) for sentence in segment_sentences(context))
+        return ((sentence, word_tokens(sentence)) for sentence in iter_sentences(context))
     return zip(chunk.sentences, chunk.sentence_tokens)
 
 

@@ -14,6 +14,7 @@ from faqgen.chunker import (
     EmptyDocument,
     SourceDocument,
     build_chunks,
+    iter_sentences,
     segment_sentences,
     word_count,
     word_tokens,
@@ -161,6 +162,20 @@ class TestSegmentSentences:
     @settings(max_examples=400)
     def test_matches_oracle(self, text):
         assert segment_sentences(text) == oracle_sentences(text)
+
+    # Any Unicode text, with sentence ends, guarded abbreviations, capitals,
+    # digits and Unicode spaces mixed in often enough to meet.
+    @given(
+        st.lists(
+            st.text(max_size=6)
+            | st.sampled_from([". ", "! ", "? ", ".\u2028", "Dr. ", "e.g. ", " \u0130", " 7",
+                               "\u3000\u01c5", "\xa0"]),
+            max_size=30,
+        ).map("".join)
+    )
+    @settings(max_examples=400)
+    def test_iter_sentences_matches_oracle_on_any_text(self, text):
+        assert list(iter_sentences(text)) == oracle_sentences(text)
 
 
 def _sentence_texts() -> st.SearchStrategy[str]:

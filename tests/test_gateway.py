@@ -5,8 +5,10 @@ import gc
 import json
 import socket
 import statistics
+import sys
 import threading
 import time
+import unittest.mock
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import CannedBackend, serve_in_thread
 from faqgen import gateway
-from faqgen.chunker import Chunk, SourceDocument, segment_sentences
+from faqgen.chunker import Chunk, SourceDocument, iter_sentences, segment_sentences
 from faqgen.domains import InvalidDomain, default_lexicon
 from faqgen.gateway import (
     RETRY_BASE_DELAY_SECONDS,
@@ -38,10 +40,12 @@ from faqgen.pipeline import FaqResult, PipelineConfig, run
 from faqgen.stubserver import create_server
 from oracles import (
     oracle_domain,
+    oracle_sentences,
     oracle_stub_answer,
     oracle_stub_answer_phrase,
     oracle_stub_questions,
     oracle_stub_source,
+    oracle_tokens,
 )
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
@@ -263,6 +267,34 @@ class TestStubHandlerOracles:
                 "answer_phrase": "dogs"}
         STUB_HANDLERS["complete_answer"](body, None, None)
         assert tokenized == [body["question"], "Cats sleep daily.", "Dogs bark loudly."]
+
+    @given(STUB_CONTEXT, STUB_QUESTION, st.integers(min_value=1, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_server_path_reads_no_sentence_past_the_one_it_needs(self, context, question, cap):
+        # The questions handler draws its first *cap* sentences from the
+        # scan, and each answer handler those up to its source sentence.
+        sentences = oracle_sentences(context)
+        anchor = oracle_tokens(question)[-1:]
+        sources = [index for index, sentence in enumerate(sentences)
+                   if not anchor or anchor[0] in oracle_tokens(sentence)]
+        read_to = sources[0] + 1 if sources else len(sentences)
+        body = {"context": context, "domain": "Gaming", "cap": cap,
+                "question": question, "answer_phrase": "x"}
+        drawn = []
+
+        def counted(text):
+            for sentence in iter_sentences(text):
+                drawn.append(sentence)
+                yield sentence
+
+        with unittest.mock.patch.object(gateway, "iter_sentences", counted):
+            for step, expected in [("questions", sentences[:cap]),
+                                   ("answer_phrase", sentences[:read_to]),
+                                   ("complete_answer", sentences[:read_to])]:
+                drawn.clear()
+                with contextlib.suppress(RequestRejected):
+                    STUB_HANDLERS[step](body, None, None)
+                assert drawn == expected, step
 
 
 class TestEndpointSetValidation:
@@ -607,6 +639,35 @@ class TestTransport:
                 post_json(f"{url}/v1/{index}", {}, BackendEndpointSet())
         # One connection for the first _MAX_ROUTES URLs; the next closed it.
         assert len(set(server.ports)) == 2
+
+    def test_each_url_is_resolved_once_per_process(
+        self, own_routes, monkeypatch, stub_server_url, fixture_document_text
+    ):
+        # Each run() with several workers starts new threads: they open
+        # their own connections, but read the environment for no URL again.
+        monkeypatch.setattr(gateway, "_resolved", {})
+        looked_up = []
+        original = gateway.requests.utils.get_environ_proxies
+
+        def counted(url, *args, **kwargs):
+            looked_up.append(url)
+            time.sleep(0.005)  # long enough for the other workers to ask too
+            return original(url, *args, **kwargs)
+
+        monkeypatch.setattr(gateway.requests.utils, "get_environ_proxies", counted)
+        urls = {f"{step}_url": f"{stub_server_url}/v1/{step}" for step in STUB_HANDLERS}
+        config = PipelineConfig(chunk_size_words=10, worker_count=4,
+                                endpoints=BackendEndpointSet(**urls, max_retries=0))
+        document = SourceDocument.from_text("doc", fixture_document_text)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads that race to resolve a URL meet
+        try:
+            first, second = run(document, config), run(document, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert first.total_generated > 0
+        assert first.to_json() == second.to_json()
+        assert sorted(looked_up) == sorted(urls.values())
 
     def test_redirect_is_rejected_not_followed(self, canned_backend):
         target_url, target = canned_backend({"/v1/domain": [(200, {"domain": "Music"})]})

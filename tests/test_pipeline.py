@@ -182,14 +182,14 @@ class TestRun:
 
     def test_document_is_segmented_once(self, fixture_document_text, monkeypatch):
         calls = []
-        original = faqgen.chunker.segment_sentences
+        original = faqgen.chunker.iter_sentences
 
         def counted(text):
             calls.append(text)
             return original(text)
 
-        monkeypatch.setattr(faqgen.chunker, "segment_sentences", counted)
-        monkeypatch.setattr(faqgen.gateway, "segment_sentences", counted)
+        monkeypatch.setattr(faqgen.chunker, "iter_sentences", counted)
+        monkeypatch.setattr(faqgen.gateway, "iter_sentences", counted)
         doc = SourceDocument.from_text("fixture", fixture_document_text)
         result = run(doc, stub_config())
         assert result.total_generated > 0

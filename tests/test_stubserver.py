@@ -273,6 +273,59 @@ class TestKeepAlive:
                 return
             assert read_reply(sock) in (None, domain_reply())
 
+    @pytest.mark.parametrize(
+        "version, connection, stays_open",
+        [
+            (b"HTTP/1.0", None, False),
+            (b"HTTP/1.0", b"keep-alive", True),
+            (b"HTTP/1.1", b"close", False),
+            (b"HTTP/1.1", None, True),
+        ],
+    )
+    def test_version_and_connection_header_decide_closing(
+        self, stub_server_url, version, connection, stays_open
+    ):
+        line = b"POST /v1/domain " + version
+        if connection:
+            line += b"\r\nConnection: " + connection
+        with connect(stub_server_url) as sock:
+            sock.sendall(DOMAIN_REQUEST.replace(b"POST /v1/domain HTTP/1.1", line, 1))
+            assert read_reply(sock) == domain_reply()
+            if stays_open:
+                sock.sendall(DOMAIN_REQUEST)
+                assert read_reply(sock) == domain_reply()
+            else:
+                assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize("line", [b"no colon here", b" Folded: value", b"Name : value"])
+    def test_malformed_header_line_is_400_and_its_body_unread(self, stub_server_url, line):
+        # A header line the server cannot name must not hide the
+        # Content-Length after it, or the body would be the next request.
+        request = DOMAIN_REQUEST.replace(b"Host: stub", b"Host: stub\r\n" + line, 1)
+        status, payload = only_reply(exchange(stub_server_url, request))
+        assert status == 400 and list(payload) == ["error"]
+
+    def test_double_slash_path_is_collapsed(self, stub_server_url):
+        reply = only_reply(exchange(stub_server_url, b"GET //v1/health HTTP/1.1\r\n\r\n"))
+        assert reply == (200, {"status": "ok"})
+
+    def test_expect_continue_is_answered_before_the_body(self, stub_server_url):
+        # A client that sends "Expect: 100-continue" holds its body back
+        # until the interim reply arrives, or until its own timeout.
+        head = DOMAIN_REQUEST.replace(b"Host: stub", b"Host: stub\r\nExpect: 100-continue", 1)
+        head, _, body = head.partition(b"\r\n\r\n")
+        with connect(stub_server_url) as sock:
+            sock.settimeout(1)
+            sock.sendall(head + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                received = sock.recv(4096)
+                assert received, "closed before any interim reply"
+                interim += received
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            assert read_reply(sock) == domain_reply()
+
 
 class TestOfflineEqualsHttp:
     @given(
