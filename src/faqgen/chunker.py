@@ -11,8 +11,8 @@ sentences, so the in-process steps never split its text again, and
 tokenizes each of them once for all its readers.
 
 The token rules live here alone: ``word_tokens`` splits text into tokens
-and ``content_tokens`` keeps those not in ``STOPWORDS_V1``. So does the rule
-that makes every input file's bytes text, ``decode_utf8``.
+and ``content_tokens`` drops those in ``STOPWORDS_V1``. So does the rule that
+makes every input file text, ``read_lines``; ``decode_utf8`` names a bad byte.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from pathlib import Path
 from typing import Iterable, Iterator
 
 DEFAULT_CHUNK_WORDS = 250
@@ -80,13 +81,25 @@ class SourceDocument:
 
 def decode_utf8(data: bytes) -> str:
     """*data*, a file's bytes, as UTF-8 after any leading byte-order mark. A
-    bad byte raises a ValueError with its offset in *data*, the mark counted."""
+    bad byte raises a UnicodeError with its offset in *data*, the mark counted."""
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # utf-8-sig counts from after the mark it drops.
-        raise ValueError(f"not UTF-8 at byte offset {exc.start + bom} ({exc.reason})") from None
+        raise UnicodeError(f"not UTF-8 at byte offset {exc.start + bom} ({exc.reason})") from None
+
+
+def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
+    """The lines of the UTF-8 file at *path* after any leading byte-order mark,
+    read in blocks as ``open`` reads them with *newline*. A bad byte raises
+    ``decode_utf8``'s UnicodeError, its offset counted from the file's start."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            decode_utf8(Path(path).read_bytes())
+            raise
 
 
 @dataclass(frozen=True)

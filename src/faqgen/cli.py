@@ -10,7 +10,6 @@ lexicon), an ``OSError`` for a file or address it cannot use and a
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from contextlib import contextmanager
@@ -18,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
-from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks, decode_utf8
+from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks, read_lines
 from .datasets import (
     DEFAULT_ROW_FLOOR,
     build_ac_dataset,
@@ -68,11 +67,10 @@ def _require_file(path: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of the file at *path* (``decode_utf8``), "\\r\\n" and "\\r" read
-    as "\\n" as a text-mode file reads them; a bad byte's error names the file."""
-    data = Path(_require_file(path)).read_bytes()
-    with _naming(path):
-        return io.StringIO(decode_utf8(data), newline=None).read()
+    """The text of the file at *path* (``read_lines``), "\\r\\n" and "\\r" read
+    as "\\n"; a bad byte's error names the file."""
+    with _naming(_require_file(path)):
+        return "".join(read_lines(path))
 
 
 def _read_document(path: str) -> SourceDocument:

@@ -8,13 +8,12 @@ custom rows, with or without the completed-answer column.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .chunker import decode_utf8
+from .chunker import decode_utf8, read_lines
 from .domains import DOMAINS, parse_domain
 
 DEFAULT_ROW_FLOOR = 750
@@ -211,7 +210,7 @@ def read_csv_table(
     make: Callable[..., Record],
     error: Callable[[str], ValueError],
 ) -> list[Record]:
-    """The records of the CSV at *path* (``decode_utf8``): *make* builds one
+    """The records of the CSV at *path* (``read_lines``): *make* builds one
     from the cells of each row after the *header* row.
 
     A wrong header, a row with the wrong number of fields, a CSV syntax error
@@ -219,12 +218,8 @@ def read_csv_table(
     where *detail* names the line of the file. A bad byte raises it with the
     byte offset of the first bad byte in place of a line.
     """
-    try:
-        text = decode_utf8(Path(path).read_bytes())
-    except ValueError as exc:
-        raise error(str(exc)) from None
     # newline="" keeps line ends as they are, so a quoted cell keeps "\r\n".
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(read_lines(path, newline=""))
     records: list[Record] = []
     try:
         first = next(reader, None)
@@ -234,6 +229,8 @@ def read_csv_table(
             if len(cells) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
             records.append(make(*cells))
+    except UnicodeError as exc:
+        raise error(str(exc)) from None
     except (csv.Error, ValueError) as exc:
         raise error(f"line {reader.line_num or 1}: {exc}") from exc
     return records

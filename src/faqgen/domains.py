@@ -8,7 +8,6 @@ offline.
 
 from __future__ import annotations
 
-import io
 import string
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -16,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .chunker import decode_utf8, word_tokens
+from .chunker import read_lines, word_tokens
 
 # Canonical (alphabetical) order; ties in classification break toward the
 # earlier entry.
@@ -129,14 +128,12 @@ def _parse_lexicon_lines(lines: Iterable[str]) -> DomainLexicon:
 
 
 def load_lexicon(path: str | Path) -> DomainLexicon:
-    """Load a tab-separated ``<domain>\\t<term>`` lexicon file (``decode_utf8``).
+    """Load a tab-separated ``<domain>\\t<term>`` lexicon file (``read_lines``).
 
     A malformed file or a bad byte raises :class:`LexiconFormatError` naming *path*.
     """
     try:
-        text = decode_utf8(Path(path).read_bytes())
-        # Read as a text-mode file reads it: "\r\n" and "\r" end lines too.
-        return _parse_lexicon_lines(io.StringIO(text, newline=None))
+        return _parse_lexicon_lines(read_lines(path))
     except ValueError as exc:
         raise LexiconFormatError(f"{path}: {exc}") from None
 

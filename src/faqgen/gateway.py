@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import ssl
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ DEFAULT_QUESTION_CAP = 5
 DEFAULT_TIMEOUT_MS = 10_000
 DEFAULT_MAX_RETRIES = 2
 MAX_RETRY_LIMIT = 10
+MAX_TIMEOUT_MS = 86_400_000  # one day; a socket timeout cannot exceed about 9.2e9 s
 RETRY_BASE_DELAY_SECONDS = 0.2
 
 # Version 1 stub question template; changing it changes every stub output.
@@ -72,6 +74,8 @@ class BackendEndpointSet:
     def __post_init__(self) -> None:
         if self.timeout_ms < 1:
             raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms}")
+        if self.timeout_ms > MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout_ms must be <= {MAX_TIMEOUT_MS}, got {self.timeout_ms}")
         if not 0 <= self.max_retries <= MAX_RETRY_LIMIT:
             raise ValueError(
                 f"max_retries must be in 0..{MAX_RETRY_LIMIT}, got {self.max_retries}"
@@ -382,7 +386,8 @@ def _questions_stub(body: dict, lexicon: DomainLexicon | None, chunk: Chunk | No
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise RequestRejected(f"cap must be an integer >= 1, got {cap!r}")
     questions = []
-    for _, tokens in islice(_tokenized(context, chunk), cap):
+    # A cap past the sentence count reads every sentence; islice takes at most sys.maxsize.
+    for _, tokens in islice(_tokenized(context, chunk), min(cap, sys.maxsize)):
         content = content_tokens(tokens)
         if content:
             questions.append(QUESTION_TEMPLATE_V1.format(anchor=content[0]))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import sys
 from collections import Counter
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faqgen import chunker
 from faqgen.chunker import (
     Chunk,
     EmptyDocument,
     SourceDocument,
     build_chunks,
     iter_sentences,
+    read_lines,
     segment_sentences,
     word_count,
     word_tokens,
@@ -275,3 +278,27 @@ class TestSourceDocument:
     def test_from_text_counts_words(self):
         doc = SourceDocument.from_text("x", "one two three")
         assert doc.word_count == 3
+
+
+class TestReadLines:
+    def test_lines_as_open_reads_them_without_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(codecs.BOM_UTF8 + "caf\u00e9\r\nb\rc\n".encode())
+        assert list(read_lines(path)) == ["caf\u00e9\n", "b\n", "c\n"]
+        assert list(read_lines(path, newline="")) == ["caf\u00e9\r\n", "b\r", "c\n"]
+
+    @pytest.mark.parametrize("offset", [5, 20_000])
+    def test_bad_byte_offset_counts_the_mark_in_any_block(self, tmp_path, offset):
+        path = tmp_path / "in.txt"
+        prefix = codecs.BOM_UTF8 + b"line\n" * offset
+        path.write_bytes(prefix[:offset] + b"\xff tail\n")
+        with pytest.raises(UnicodeError) as caught:
+            list(read_lines(path))
+        assert str(caught.value) == f"not UTF-8 at byte offset {offset} (invalid start byte)"
+
+    def test_original_error_when_a_second_read_finds_no_bad_byte(self, tmp_path, monkeypatch):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"ok\n\xff\n")
+        monkeypatch.setattr(chunker, "decode_utf8", lambda data: "")
+        with pytest.raises(UnicodeDecodeError):
+            list(read_lines(path))

@@ -172,6 +172,31 @@ class TestGenerate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_timeout_past_one_day_is_usage_error(self, doc_file, tmp_path, stub_server_url, capsys):
+        # No socket timeout holds 9999999999999 ms; the config is refused
+        # before any call is made.
+        config = tmp_path / "long.conf"
+        config.write_text(
+            f"domain_url = {stub_server_url}/v1/domain\ntimeout_ms = 9999999999999\n",
+            encoding="utf-8",
+        )
+        for command in (["classify"], ["generate", "--count", "1"]):
+            argv = [*command, "--input", str(doc_file), "--config", str(config)]
+            assert run_cli(argv, {}) == 2
+            assert capsys.readouterr().err == (
+                "error: invalid config: timeout_ms must be <= 86400000, got 9999999999999\n"
+            )
+
+    def test_question_cap_past_sys_maxsize_reads_every_sentence(self, doc_file, tmp_path, capsys):
+        outputs = []
+        for cap in (10**6, 10**20):
+            config = tmp_path / f"cap{cap}.conf"
+            config.write_text(f"question_cap = {cap}\n", encoding="utf-8")
+            argv = ["generate", "--input", str(doc_file), "--count", "1000", "--config", str(config)]
+            assert run_cli(argv, {}) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_undecodable_input_is_runtime_error(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("Caf\u00e9 au lait.".encode("latin-1"))
@@ -355,7 +380,8 @@ class TestDatasetCommands:
             {},
         )
         assert code == 0
-        rows = list(csv.reader(ae_out.open(encoding="utf-8", newline="")))
+        with ae_out.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["Context", "Question", "Answer Phrase"]
         assert len(rows) == 5  # header + 3 squad + 1 custom
 
@@ -365,7 +391,8 @@ class TestDatasetCommands:
             {},
         )
         assert code == 0
-        rows = list(csv.reader(ac_out.open(encoding="utf-8", newline="")))
+        with ac_out.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["Context", "Question", "Answer Phrase", "Complete Answer"]
 
     def test_build_ac_missing_complete_answer_fails(self, tmp_path, capsys):
@@ -459,6 +486,24 @@ class TestMalformedInputExits1:
         assert run_cli(argv, {}) == 1
         assert one_error_line(capsys.readouterr().err) == (
             f"{table}: not UTF-8 at byte offset {offset} (invalid continuation byte)"
+        )
+
+    # A CSV is read in blocks, so a bad row in an earlier block than a bad byte
+    # is the error reported.
+    @pytest.mark.parametrize("command", ["build-ac", "eval"])
+    def test_bad_row_before_a_later_bad_byte_names_its_line(self, tmp_path, capsys, command):
+        table = tmp_path / "table.csv"
+        if command == "build-ac":
+            header, fields = CUSTOM_HEADER_LINE.encode(), 4
+            argv = ["dataset", "build-ac", "--custom", str(table),
+                    "--output", str(tmp_path / "out.csv")]
+        else:
+            header, fields = REVIEW_HEADER_LINE.encode(), 8
+            argv = ["eval", "aggregate", "--input", str(table)]
+        table.write_bytes(header + b"a,b,c\n" + b"x" * 20_000 + b"\xe9,b\n")
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{table}: line 2: expected {fields} fields, got 3"
         )
 
     @pytest.mark.parametrize("content, detail", [

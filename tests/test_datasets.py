@@ -3,6 +3,7 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -343,6 +344,28 @@ class TestCsvRoundTrips:
         write_answer_table(path, rows, include_complete=True)
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         assert read_custom_table(path) == rows
+
+    def test_custom_table_is_read_in_blocks(self, tmp_path):
+        # A reader that holds the table whole (bytes, text and a text buffer)
+        # peaks at about six times its size; one that reads in blocks, near
+        # the size of its cells.
+        path = tmp_path / "custom.csv"
+        rows = [
+            AnswerRow(f"Context {i}. " + "word " * 300, f"Question {i}?" + " why" * 60,
+                      f"phrase {i}" + " x" * 100, f"Done {i}." + " more" * 70)
+            for i in range(900)
+        ]
+        write_answer_table(path, rows, include_complete=True)
+        size = path.stat().st_size
+        assert 1_900_000 < size < 2_300_000
+        tracemalloc.start()
+        try:
+            records = read_custom_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records == rows
+        assert peak < 2 * size
 
 
 class TestNaming:

@@ -252,6 +252,13 @@ class TestStubHandlerOracles:
                     assert str(caught.value) == message
 
     @pytest.mark.parametrize("in_process", [True, False])
+    def test_questions_cap_past_sys_maxsize_reads_every_sentence(self, in_process):
+        body = {"context": THREE_SENTENCES, "domain": "Gaming", "cap": 10**30}
+        chunk = chunk_of(THREE_SENTENCES) if in_process else None
+        reply = STUB_HANDLERS["questions"](body, None, chunk)
+        assert reply == {"questions": oracle_stub_questions(THREE_SENTENCES, 10**30)}
+
+    @pytest.mark.parametrize("in_process", [True, False])
     def test_answer_phrase_tokenizes_each_sentence_once(self, tokenized, in_process):
         body = {"context": THREE_SENTENCES, "question": "What does the passage state about dogs?"}
         chunk = chunk_of(THREE_SENTENCES) if in_process else None
@@ -309,6 +316,13 @@ class TestEndpointSetValidation:
             BackendEndpointSet(max_retries=11)
         with pytest.raises(ValueError):
             BackendEndpointSet(max_retries=-1)
+
+    def test_timeout_is_at_most_one_day(self):
+        # No socket timeout holds 9999999999999 ms: such a value is a bad
+        # config, not an OverflowError from the first call's connect.
+        assert BackendEndpointSet(timeout_ms=gateway.MAX_TIMEOUT_MS).timeout_ms == 86_400_000
+        with pytest.raises(ValueError, match="timeout_ms must be <= 86400000"):
+            BackendEndpointSet(timeout_ms=9_999_999_999_999)
 
 
 class TestRemoteQuestions:
@@ -821,7 +835,7 @@ class TestTrickledReply:
 
 
 class TestCaBundleEnvironment:
-    # The environment is read once per thread and URL, so each case posts
+    # The environment is read once per process and URL, so each case posts
     # to a URL that no other test uses.
 
     @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
@@ -849,7 +863,7 @@ def set_proxy_environment(monkeypatch, proxy_url: str, no_proxy: str = "") -> No
 
 
 class TestProxyEnvironment:
-    # The environment is read once per thread and URL, so each case posts
+    # The environment is read once per process and URL, so each case posts
     # to a URL that no other test uses.
 
     def test_http_proxy_receives_the_absolute_uri(self, canned_backend, monkeypatch):

@@ -514,7 +514,7 @@ PROTOCOL_BODY = st.fixed_dictionaries(
     optional={
         "context": st.sampled_from([CONTEXT, "", "\ud800 Hello world."]) | st.text(max_size=40),
         "domain": st.sampled_from(["Music", "Gaming", "Astrology"]),
-        "cap": st.sampled_from([1, 3, 0, True, "2"]),
+        "cap": st.sampled_from([1, 3, 0, True, "2", 2**63, 10**30]),
         "question": st.sampled_from(["What does the passage state about dogs?", ""]),
         "answer_phrase": st.sampled_from(["dogs bark", " "]),
     },
