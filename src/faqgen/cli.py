@@ -154,26 +154,23 @@ def _cmd_generate(args: argparse.Namespace, environment: Mapping[str, str]) -> i
     return 0
 
 
-def _cmd_chunk(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    config = _pipeline_config(
-        _config_values(args.config, environment), chunk_size_words=args.size
-    )
+def _chunks(args: argparse.Namespace, environment: Mapping[str, str]) -> tuple:
+    """The pipeline config of ``chunk`` and ``classify``, and their input's chunks."""
+    config = _pipeline_config(_config_values(args.config, environment), chunk_size_words=args.size)
     document = _read_document(args.input)
     with _naming(args.input, EmptyDocument):
-        chunks = build_chunks(document, config.chunk_size_words)
-    for chunk in chunks:
+        return config, build_chunks(document, config.chunk_size_words)
+
+
+def _cmd_chunk(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
+    for chunk in _chunks(args, environment)[1]:
         preview = " ".join(chunk.context.split()[:8])
         print(f"{chunk.index}\t{chunk.word_count}\t{preview}")
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    config = _pipeline_config(
-        _config_values(args.config, environment), chunk_size_words=args.size
-    )
-    document = _read_document(args.input)
-    with _naming(args.input, EmptyDocument):
-        chunks = build_chunks(document, config.chunk_size_words)
+    config, chunks = _chunks(args, environment)
     for chunk in chunks:
         domain, warnings = chunk_domain(chunk, config)
         print(f"{chunk.index}\t{domain}")

@@ -8,7 +8,6 @@ offline.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -86,18 +85,13 @@ class DomainLexicon:
         for domain, terms in entries.items():
             if len(terms) < MIN_TERMS_PER_DOMAIN:
                 raise LexiconFormatError(
-                    f"domain {domain!r} has {len(terms)} terms, "
-                    f"needs >= {MIN_TERMS_PER_DOMAIN}"
+                    f"domain {domain!r} has {len(terms)} terms, needs >= {MIN_TERMS_PER_DOMAIN}"
                 )
             for term in terms:
-                if not term or term != term.lower() or any(c.isspace() for c in term):
+                if word_tokens(term) != [term]:  # else no token can equal it
                     raise LexiconFormatError(
-                        f"domain {domain!r} has invalid term {term!r}"
-                    )
-                if term != term.strip(string.punctuation):
-                    raise LexiconFormatError(
-                        f"domain {domain!r} has term {term!r} with leading or "
-                        f"trailing punctuation, which tokens never keep"
+                        f"domain {domain!r} has term {term!r}, which is not one lowercase "
+                        f"token without leading or trailing punctuation"
                     )
                 term_domains[term] = term_domains.get(term, ()) + (domain,)
         object.__setattr__(self, "entries", entries)

@@ -15,6 +15,7 @@ pure functions of their inputs so end-to-end runs are reproducible offline.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import ssl
@@ -22,7 +23,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from functools import lru_cache
+from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from itertools import chain, islice
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
@@ -119,17 +121,11 @@ class CompletedAnswer:
             )
 
 
-# Per process: per URL how to reach it, read from the environment on the
-# process's first call to it. Per thread: per URL that route's connection,
-# one kept-alive connection per backend origin, shared by every URL on that
-# origin. An http.client connection is not thread-safe, so each thread has
-# its own; they are closed when the thread ends.
-_resolved: dict[str, tuple] = {}
-_resolved_lock = threading.Lock()
+# Per process, how to reach each of the last _MAX_ROUTES URLs used (``_resolve``);
+# per thread, one kept-alive connection per origin (http.client's are not
+# thread-safe), all closed when the thread ends or opens one past _MAX_ROUTES.
+_resolve_lock = threading.Lock()
 _thread = threading.local()
-# Past this many URLs the process reads the environment afresh, and a thread
-# closes its connections and starts afresh, so a thread that calls many
-# backends keeps few sockets open.
 _MAX_ROUTES = 32
 
 
@@ -143,33 +139,24 @@ class _Connections(dict):
 
 def _route(url: str) -> tuple[HTTPConnection, str, dict[str, str]]:
     """This thread's connection for *url*, the request target and headers."""
-    routes = getattr(_thread, "routes", None)
-    route = routes.get(url) if routes else None
-    if route is None:
-        if not routes or len(routes) >= _MAX_ROUTES:
-            routes = _thread.routes = {}
-            _thread.connections = _Connections()
-        with _resolved_lock:
-            resolved = _resolved.get(url)
-            if resolved is None:
-                resolved = _resolve(url)  # a URL that raises is not kept
-                if len(_resolved) >= _MAX_ROUTES:
-                    _resolved.clear()
-                _resolved[url] = resolved
-        key, target, headers, address, tunnel, context = resolved
-        connection = _thread.connections.get(key)
-        if connection is None:
-            if context is None:
-                connection = HTTPConnection(*address)
-            else:
-                connection = HTTPSConnection(*address, context=context)
-                if tunnel:
-                    connection.set_tunnel(*tunnel)
-            _thread.connections[key] = connection
-        route = routes[url] = connection, target, headers
-    return route
+    with _resolve_lock:
+        key, target, headers, address, tunnel, context = _resolve(url)
+    connections = getattr(_thread, "connections", {})
+    connection = connections.get(key)
+    if connection is None:
+        if not connections or len(connections) >= _MAX_ROUTES:
+            connections = _thread.connections = _Connections()
+        if context is None:
+            connection = HTTPConnection(*address)
+        else:
+            connection = HTTPSConnection(*address, context=context)
+            if tunnel:
+                connection.set_tunnel(*tunnel)
+        connections[key] = connection
+    return connection, target, headers
 
 
+@lru_cache(maxsize=_MAX_ROUTES)  # a URL that raises is not kept
 def _resolve(url: str) -> tuple:
     """How to reach *url*, reading the environment: the proxy (``HTTP_PROXY``,
     ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle (``REQUESTS_CA_BUNDLE``, else
@@ -228,6 +215,30 @@ def _time_left(deadline: float) -> float:
     return left
 
 
+class _DeadlineReader(io.RawIOBase):
+    """The file http.client reads a reply from (``makefile``), a proxy's reply
+    to CONNECT too; each read waits at most until *deadline*. It reads *sock*'s
+    file from makefile, which keeps the descriptor open after *sock* closes."""
+
+    def __init__(self, sock, deadline: float) -> None:
+        self.sock, self.deadline = sock, deadline
+        self.file = sock.makefile("rb", buffering=0)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        self.sock.settimeout(_time_left(self.deadline))
+        return self.file.readinto(buffer)
+
+    def close(self) -> None:
+        self.file.close()
+        super().close()
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+
 def _exchange(
     connection: HTTPConnection, target: str, body: bytes, headers: dict[str, str], deadline: float
 ) -> tuple[int, bytes]:
@@ -239,6 +250,9 @@ def _exchange(
     as http.client does itself after a reply that ends it; the next request
     opens it again."""
     reopen = connection.sock is not None
+    connection.response_class = lambda sock, *args, **kwargs: HTTPResponse(
+        _DeadlineReader(sock, deadline), *args, **kwargs
+    )
     try:
         while True:
             connection.timeout = _time_left(deadline)
@@ -246,8 +260,6 @@ def _exchange(
                 connection.sock.settimeout(connection.timeout)
             try:
                 connection.request("POST", target, body, headers)
-                sock = connection.sock  # connection.sock is None after a reply that closes it
-                sock.settimeout(_time_left(deadline))
                 response = connection.getresponse()
                 break
             except ConnectionError:
@@ -255,10 +267,7 @@ def _exchange(
                     raise
                 reopen = False
                 connection.close()
-        parts = []  # each read waits at most the time left; settimeout returns None
-        while sock.settimeout(_time_left(deadline)) or (part := response.read1()):
-            parts.append(part)
-        data = b"".join(parts) + response.read()  # read() closes a reply read1() left open
+        data = response.read()
         if response.status < 200:
             raise HTTPException(f"HTTP {response.status} is not a final reply")
         return response.status, data
@@ -293,7 +302,7 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
     ``timeout_ms`` bounds the whole call, reply bodies and backoff included:
     each socket timeout is the time left, and no attempt or sleep starts
     that the time left cannot hold (:class:`BackendUnavailable` names the
-    last error). A header block trickled in is bounded only per read.
+    last error).
 
     Each thread keeps one connection per backend origin alive across calls,
     and opens it again once, without spending a retry, when the server

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import codecs
 import random
+import string
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faqgen.chunker import word_tokens
@@ -111,6 +112,32 @@ class TestLoadLexicon:
         entries["Gaming"] |= {term}
         with pytest.raises(LexiconFormatError):
             DomainLexicon(entries=entries)
+
+    @settings(max_examples=300)
+    @given(
+        term=st.text(
+            st.sampled_from(string.punctuation + string.whitespace + "aZ\u03a3\u03c2\u0130\u1e9e")
+            | st.characters(),
+            max_size=6,
+        )
+    )
+    def test_a_term_is_valid_exactly_when_the_written_out_rule_says(self, term):
+        # The rule terms were checked against before they went through
+        # word_tokens: non-empty, lowercase, no whitespace, and no leading or
+        # trailing ASCII punctuation.
+        valid = (
+            bool(term)
+            and term == term.lower()
+            and not any(c.isspace() for c in term)
+            and term == term.strip(string.punctuation)
+        )
+        entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}
+        entries["Gaming"] |= {term}
+        if valid:
+            assert term in DomainLexicon(entries=entries).term_domains
+        else:
+            with pytest.raises(LexiconFormatError):
+                DomainLexicon(entries=entries)
 
     def test_later_edits_to_the_entries_change_nothing(self):
         entries = {domain: {f"t{i}" for i in range(12)} for domain in DOMAINS}

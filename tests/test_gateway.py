@@ -525,9 +525,9 @@ class AnswersAnyPath(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def own_routes(monkeypatch):
-    """No routes or connections on this thread when the test starts: routes
-    cached by earlier tests would move the call at which the thread starts
-    afresh (``gateway._MAX_ROUTES``)."""
+    """No connections on this thread when the test starts: connections kept
+    by earlier tests would move the call at which the thread starts afresh
+    (past ``gateway._MAX_ROUTES`` origins)."""
     monkeypatch.setattr(gateway, "_thread", threading.local())
 
 
@@ -646,20 +646,39 @@ class TestTransport:
         assert not thread.is_alive()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    def test_many_urls_do_not_keep_many_connections(self, own_routes):
+    def test_many_urls_do_not_keep_many_connections(self, own_routes, monkeypatch):
         server = any_path_server()
         with serving(server) as url:
             for index in range(gateway._MAX_ROUTES + 1):
                 post_json(f"{url}/v1/{index}", {}, BackendEndpointSet())
-        # One connection for the first _MAX_ROUTES URLs; the next closed it.
-        assert len(set(server.ports)) == 2
+        # Every URL is on one origin, so they all share one connection.
+        assert len(set(server.ports)) == 1
+        # A third origin past two closes the thread's connections, so calling
+        # the first origin again opens a new one.
+        monkeypatch.setattr(gateway, "_MAX_ROUTES", 2)
+        monkeypatch.setattr(gateway, "_thread", threading.local())
+        servers = [any_path_server() for _ in range(3)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with contextlib.ExitStack() as stack:
+                urls = [stack.enter_context(serving(server)) for server in servers]
+                connections = []
+                for url in urls + urls[:1]:
+                    post_json(f"{url}/v1/domain", {}, BackendEndpointSet())
+                    connections.append(gateway._route(f"{url}/v1/domain")[0])
+            gc.collect()
+        assert [connection.sock for connection in connections[:2]] == [None, None]
+        assert connections[3] is not connections[0]
+        assert [len(set(server.ports)) for server in servers] == [2, 1, 1]
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_each_url_is_resolved_once_per_process(
-        self, own_routes, monkeypatch, stub_server_url, fixture_document_text
+        self, own_routes, monkeypatch, stub_server_url, fixture_document_text, request
     ):
         # Each run() with several workers starts new threads: they open
         # their own connections, but read the environment for no URL again.
-        monkeypatch.setattr(gateway, "_resolved", {})
+        gateway._resolve.cache_clear()
+        request.addfinalizer(gateway._resolve.cache_clear)
         looked_up = []
         original = gateway.requests.utils.get_environ_proxies
 
@@ -758,8 +777,8 @@ class TestCallDeadline:
 
 
 class TestTrickledReply:
-    """A reply whose headers come at once and whose body comes a byte at a
-    time: ``timeout_ms`` bounds the body's reading too, and a body that ends
+    """A reply whose body, or whose status line and headers too, come a byte
+    at a time: ``timeout_ms`` bounds their reading too, and a body that ends
     in time is read whole, over the kept-alive connection."""
 
     BODY = b" " * 40 + b'{"domain": "Gaming"}'
@@ -768,7 +787,8 @@ class TestTrickledReply:
     def trickling_backend(self):
         """Starts a backend that sends a byte of ``BODY`` per *interval*
         seconds: at /v1/length with a Content-Length, at /v1/chunked as one
-        chunk per byte."""
+        chunk per byte, and at /v1/head with a Content-Length after a status
+        line and headers sent a byte per *interval* too."""
         release = threading.Event()
         servers = []
 
@@ -782,14 +802,19 @@ class TestTrickledReply:
                 self.rfile.read(int(self.headers["Content-Length"]))
                 self.server.ports.append(self.client_address[1])
                 chunked = self.path == "/v1/chunked"
-                self.send_response(200)
-                if chunked:
-                    self.send_header("Transfer-Encoding", "chunked")
+                reply = TestTrickledReply.BODY
+                if self.path == "/v1/head":
+                    head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(reply)
+                    reply = head + reply
                 else:
-                    self.send_header("Content-Length", str(len(TestTrickledReply.BODY)))
-                self.end_headers()
+                    self.send_response(200)
+                    if chunked:
+                        self.send_header("Transfer-Encoding", "chunked")
+                    else:
+                        self.send_header("Content-Length", str(len(reply)))
+                    self.end_headers()
                 try:
-                    for byte in TestTrickledReply.BODY:
+                    for byte in reply:
                         if release.wait(self.server.interval):
                             return
                         piece = bytes([byte])
@@ -832,6 +857,47 @@ class TestTrickledReply:
         # connection.
         assert len(server.ports) == 2
         assert len(set(server.ports)) == 1
+
+    def test_trickled_header_block_ends_at_the_deadline(self, trickling_backend):
+        # Sent whole, the status line and headers alone would take 2 s.
+        url, _ = trickling_backend(interval=0.05)
+        start = time.perf_counter()
+        with pytest.raises(BackendUnavailable, match="after 1 attempt.*timed out"):
+            post_json(f"{url}/v1/head", {"context": "x"},
+                      BackendEndpointSet(timeout_ms=300, max_retries=0))
+        assert 0.3 <= time.perf_counter() - start < 0.8
+
+    def test_trickled_proxy_reply_to_connect_ends_at_the_deadline(self, monkeypatch):
+        # An HTTPS URL is tunnelled through its proxy, whose reply to CONNECT
+        # would take 2 s sent whole.
+        listener = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def trickle():
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(65536)
+                for byte in b"HTTP/1.1 200 Connection established\r\n\r\n":
+                    if release.wait(0.05):
+                        return
+                    with contextlib.suppress(OSError):  # the client stopped reading
+                        connection.sendall(bytes([byte]))
+
+        thread = threading.Thread(target=trickle)
+        thread.start()
+        set_proxy_environment(monkeypatch, "")
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{listener.getsockname()[1]}")
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BackendUnavailable, match="after 1 attempt.*timed out"):
+                post_json("https://connect-trickle.invalid/v1/domain", {"context": "x"},
+                          BackendEndpointSet(timeout_ms=300, max_retries=0))
+            assert 0.3 <= time.perf_counter() - start < 0.8
+        finally:
+            release.set()
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class TestCaBundleEnvironment:

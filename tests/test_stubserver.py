@@ -10,7 +10,7 @@ import sys
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import serve_in_thread
@@ -547,9 +547,28 @@ def raw_requests(draw) -> bytes:
     return (head + "\r\n").encode("latin-1") + body
 
 
+def framed_post(step: str, **body) -> bytes:
+    """A well-framed POST of *body* to the step's path."""
+    data = json.dumps(body).encode("ascii")
+    return b"POST /v1/%b HTTP/1.1\r\nContent-Length: %d\r\n\r\n%b" % (
+        step.encode("ascii"), len(data), data
+    )
+
+
 class TestAnyRequestProperty:
     @settings(max_examples=150, deadline=None)
     @given(request_bytes=raw_requests())
+    # Drawn requests rarely reach a handler, so each step gets a valid one.
+    @example(request_bytes=framed_post("questions", context=CONTEXT, domain="Music", cap=2**63))
+    @example(request_bytes=framed_post("questions", context=CONTEXT, domain="Music", cap=10**30))
+    @example(request_bytes=framed_post("domain", context=CONTEXT))
+    @example(request_bytes=framed_post(
+        "answer_phrase", context=CONTEXT, question="What does the passage state about dogs?"
+    ))
+    @example(request_bytes=framed_post(
+        "complete_answer", context=CONTEXT, question="What does the passage state about dogs?",
+        answer_phrase="dogs bark",
+    ))
     def test_one_json_reply_and_no_traceback(self, stub_server_url, request_bytes):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
