@@ -18,13 +18,13 @@ from __future__ import annotations
 import io
 import json
 import os
+import socket
 import ssl
 import sys
 import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from itertools import chain, islice
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
@@ -121,12 +121,95 @@ class CompletedAnswer:
             )
 
 
-# Per process, how to reach each of the last _MAX_ROUTES URLs used (``_resolve``);
-# per thread, one kept-alive connection per origin (http.client's are not
-# thread-safe), all closed when the thread ends or opens one past _MAX_ROUTES.
+# Per process, how to reach each of the last _MAX_ROUTES URLs (``_resolve``); per
+# thread, a connection per origin, closed at thread end or past _MAX_ROUTES origins.
 _resolve_lock = threading.Lock()
 _thread = threading.local()
 _MAX_ROUTES = 32
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+
+
+class ProtocolError(OSError):
+    """A refused HTTP/1.x message: malformed, or not one a server (*status*) serves."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class SocketReader(io.RawIOBase):
+    """*sock*'s reads, each waiting at most until ``deadline``; never closes it."""
+
+    def __init__(self, sock, deadline: float = 0.0) -> None:
+        self.sock, self.deadline = sock, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self.sock.settimeout(_time_left(self.deadline))
+        return self.sock.recv_into(buffer)
+
+
+def read_head(file: io.BufferedReader, start_line: Callable[[str], tuple]) -> tuple:
+    """One HTTP/1.x message head from *file*: its start line as *start_line*
+    parses it, before any header is read, and its headers by lower-cased name.
+    Raises ConnectionResetError when *file* ends first, and ProtocolError."""
+    line = file.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        raise ConnectionResetError("connection closed before the message")
+    if len(line) > MAX_LINE_BYTES:
+        raise ProtocolError(f"start line over {MAX_LINE_BYTES} bytes", 414)
+    start, headers = start_line(str(line, "latin-1")), {}
+    for _ in range(MAX_HEADERS + 1):
+        line = file.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(f"header line over {MAX_LINE_BYTES} bytes", 431)
+        if line in (b"\r\n", b"\n", b""):
+            return start, headers
+        name, colon, value = str(line, "latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            raise ProtocolError("header line is not: name, ':', value")
+        name, value = name.lower(), value.strip(" \t\r\n")
+        # A repeated header's values are joined: two lengths are no number.
+        headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    raise ProtocolError(f"more than {MAX_HEADERS} headers", 431)
+
+
+def _status_line(line: str) -> tuple[int, bool]:
+    """A reply's status, and whether the reply is HTTP/1.0."""
+    words = line.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/1.") or len(words[1]) != 3:
+        raise ProtocolError(f"not a status line: {line[:80]!r}")
+    return int(words[1]), words[0] == "HTTP/1.0"
+
+
+class _Connection:
+    """A kept-alive connection by *route* (``_resolve``); ``sock`` is None when closed."""
+
+    def __init__(self, route: tuple) -> None:
+        self.route, self.sock = route, None
+
+    def open(self, deadline: float) -> None:
+        """Connect, tunnelled and in TLS as routed; the caller closes it on a failure."""
+        address, tunnel, tls = self.route
+        self.sock = sock = socket.create_connection(address, _time_left(deadline))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if tunnel:
+            sock.sendall(tunnel)
+            status = read_head(io.BufferedReader(SocketReader(sock, deadline)), _status_line)[0]
+            if status[0] != 200:
+                raise OSError(f"proxy refused the tunnel: HTTP {status[0]}")
+        if tls:
+            sock.settimeout(_time_left(deadline))
+            self.sock = sock = tls[0].wrap_socket(sock, server_hostname=tls[1])
+        self.file = io.BufferedReader(SocketReader(sock))
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
 
 
 class _Connections(dict):
@@ -137,51 +220,44 @@ class _Connections(dict):
             connection.close()
 
 
-def _route(url: str) -> tuple[HTTPConnection, str, dict[str, str]]:
-    """This thread's connection for *url*, the request target and headers."""
+def _route(url: str) -> tuple[_Connection, bytes]:
+    """This thread's connection for *url*, and a POST's head for it (``_resolve``)."""
     with _resolve_lock:
-        key, target, headers, address, tunnel, context = _resolve(url)
+        key, head, route = _resolve(url)
     connections = getattr(_thread, "connections", {})
     connection = connections.get(key)
     if connection is None:
         if not connections or len(connections) >= _MAX_ROUTES:
             connections = _thread.connections = _Connections()
-        if context is None:
-            connection = HTTPConnection(*address)
-        else:
-            connection = HTTPSConnection(*address, context=context)
-            if tunnel:
-                connection.set_tunnel(*tunnel)
-        connections[key] = connection
-    return connection, target, headers
+        connection = connections[key] = _Connection(route)
+    return connection, head
 
 
 @lru_cache(maxsize=_MAX_ROUTES)  # a URL that raises is not kept
 def _resolve(url: str) -> tuple:
     """How to reach *url*, reading the environment: the proxy (``HTTP_PROXY``,
     ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle (``REQUESTS_CA_BUNDLE``, else
-    ``CURL_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own.
-
-    A plain-HTTP proxy is sent the absolute URI, and an HTTPS URL is
-    tunnelled through it (CONNECT); the proxy URL's credentials become
-    ``Proxy-Authorization``. Returns the connection's key (its origin and
-    proxy), the request target and headers, the address to connect to, the
-    tunnel, and the SSL context of an HTTPS URL. Raises ValueError or
-    OSError when *url* or a setting cannot be used."""
+    ``CURL_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own. A
+    plain-HTTP proxy is sent the absolute URI; an HTTPS URL is tunnelled
+    through it (CONNECT). Returns the connection's key (origin and proxy), a
+    POST's head up to its Content-Length value, and the route: the address to
+    connect to, the CONNECT request, the SSL context and host name. Raises
+    ValueError or OSError when *url* or a setting cannot be used."""
     url = requests.utils.requote_uri(url)
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"not an http(s) URL: {url!r}")
-    parts.hostname.encode("idna")  # raises for a name no resolver takes
+    host = parts.hostname.encode("idna").decode()  # raises for a name no resolver takes
+    host = f"[{host}]" if ":" in host else host
     port = parts.port or (443 if parts.scheme == "https" else 80)
-    headers = {"Content-Type": "application/json"}
+    origin = f"{host}:{port}"
+    fields = f"Host: {origin if parts.port else host}\r\nAccept-Encoding: identity\r\n"
+    fields += "Content-Type: application/json\r\n"
     credentials = requests.utils.get_netrc_auth(url) or requests.utils.get_auth_from_url(url)
     if any(credentials):
-        headers["Authorization"] = requests.auth._basic_auth_str(*credentials)
-    target = parts.path or "/"
-    if parts.query:
-        target += "?" + parts.query
-    address, tunnel = (parts.hostname, port), None
+        fields += f"Authorization: {requests.auth._basic_auth_str(*credentials)}\r\n"
+    target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+    address, tunnel, tls = (parts.hostname, port), None, None
     proxy = requests.utils.select_proxy(url, requests.utils.get_environ_proxies(url))
     if proxy:
         proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
@@ -189,23 +265,22 @@ def _resolve(url: str) -> tuple:
         if proxy_parts.scheme != "http" or not proxy_parts.hostname:
             raise ValueError(f"not a plain-HTTP proxy: {proxy!r}")
         user, password = requests.utils.get_auth_from_url(proxy)
-        proxy_headers = {}
-        if user:
-            proxy_headers["Proxy-Authorization"] = requests.auth._basic_auth_str(user, password)
+        auth = requests.auth._basic_auth_str(user, password) if user else None
+        auth = f"Proxy-Authorization: {auth}\r\n" if auth else ""
         address = (proxy_parts.hostname, proxy_parts.port or 80)
         if parts.scheme == "https":
-            tunnel = (parts.hostname, port, proxy_headers)
+            tunnel = f"CONNECT {origin} HTTP/1.1\r\nHost: {origin}\r\n{auth}\r\n".encode()
         else:
             target = requests.utils.urldefragauth(url)
-            headers.update(proxy_headers)
-    context = None
+            fields += auth
     if parts.scheme == "https":
         ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
         ca = ca or requests.utils.DEFAULT_CA_BUNDLE_PATH
-        context = ssl.create_default_context(
+        tls = ssl.create_default_context(
             **({"capath": ca} if os.path.isdir(ca) else {"cafile": ca})
-        )
-    return (parts.scheme, parts.hostname, port, proxy), target, headers, address, tunnel, context
+        ), parts.hostname
+    head = f"POST {target} HTTP/1.1\r\n{fields}Content-Length: ".encode("ascii")
+    return (parts.scheme, parts.hostname, port, proxy), head, (address, tunnel, tls)
 
 
 def _time_left(deadline: float) -> float:
@@ -215,62 +290,53 @@ def _time_left(deadline: float) -> float:
     return left
 
 
-class _DeadlineReader(io.RawIOBase):
-    """The file http.client reads a reply from (``makefile``), a proxy's reply
-    to CONNECT too; each read waits at most until *deadline*. It reads *sock*'s
-    file from makefile, which keeps the descriptor open after *sock* closes."""
-
-    def __init__(self, sock, deadline: float) -> None:
-        self.sock, self.deadline = sock, deadline
-        self.file = sock.makefile("rb", buffering=0)
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        self.sock.settimeout(_time_left(self.deadline))
-        return self.file.readinto(buffer)
-
-    def close(self) -> None:
-        self.file.close()
-        super().close()
-
-    def makefile(self, mode: str) -> io.BufferedReader:
-        return io.BufferedReader(self)
+def _read_exact(file: io.BufferedReader, size: int) -> bytes:
+    data = file.read(size) if size >= 0 else b""
+    if len(data) != size:
+        raise ProtocolError(f"reply body is {len(data)} bytes, not {size}")
+    return data
 
 
-def _exchange(
-    connection: HTTPConnection, target: str, body: bytes, headers: dict[str, str], deadline: float
-) -> tuple[int, bytes]:
-    """POST *body* over *connection* and read the whole reply: its status
-    and body. Each socket operation waits at most until *deadline*.
-
-    A kept-alive connection found closed before any reply arrives is opened
-    again once. Any failure, and a status below 200, closes the connection,
-    as http.client does itself after a reply that ends it; the next request
-    opens it again."""
-    reopen = connection.sock is not None
-    connection.response_class = lambda sock, *args, **kwargs: HTTPResponse(
-        _DeadlineReader(sock, deadline), *args, **kwargs
-    )
+def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple[int, bytes]:
+    """Send *request* over *connection* in one write and read the whole reply,
+    its status and body, reopening once a kept-alive connection found closed
+    first. A failure, a status below 200, Connection: close and HTTP/1.0 close it."""
     try:
-        while True:
-            connection.timeout = _time_left(deadline)
-            if connection.sock is not None:
-                connection.sock.settimeout(connection.timeout)
+        for last in (False, True) if connection.sock else (True,):
             try:
-                connection.request("POST", target, body, headers)
-                response = connection.getresponse()
+                if connection.sock is None:
+                    connection.open(deadline)
+                connection.file.raw.deadline = deadline
+                connection.sock.settimeout(_time_left(deadline))
+                connection.sock.sendall(request)
+                while (head := read_head(connection.file, _status_line))[0][0] == 100:
+                    pass  # 100 Continue
                 break
             except ConnectionError:
-                if not reopen:
+                if last:
                     raise
-                reopen = False
                 connection.close()
-        data = response.read()
-        if response.status < 200:
-            raise HTTPException(f"HTTP {response.status} is not a final reply")
-        return response.status, data
+        (status, close), headers = head
+        file = connection.file
+        if status < 200:
+            raise ProtocolError(f"HTTP {status} is not a final reply")
+        if status in (204, 304):
+            data = b""
+        elif headers.get("transfer-encoding", "").lower() == "chunked":
+            pieces = []
+            while size := int(file.readline(MAX_LINE_BYTES + 1).split(b";")[0], 16):
+                pieces.append(_read_exact(file, size))
+                _read_exact(file, 2)
+            while file.readline(MAX_LINE_BYTES + 1) not in (b"\r\n", b"\n", b""):
+                pass  # a trailer field
+            data = b"".join(pieces)
+        elif "content-length" in headers:
+            data = _read_exact(file, int(headers["content-length"]))
+        else:
+            data, close = file.read(), True
+        if close or "close" in headers.get("connection", "").lower():
+            connection.close()
+        return status, data
     except BaseException:
         connection.close()
         raise
@@ -291,35 +357,29 @@ def _error_detail(data: bytes) -> str:
 
 
 def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
-    """POST *payload* as JSON and return the reply's JSON object.
+    """POST *payload* as JSON, in one write over this thread's kept-alive
+    connection to *url*'s origin, and return the reply's JSON object.
 
-    Connection errors, timeouts, protocol errors (including an informational
-    status that is the only reply), 5xx responses and bodies that are not a
-    JSON object are retried up to ``max_retries`` extra times, with backoff.
-    Any other status but 200 raises :class:`RequestRejected` at once; a
-    redirect (3xx) is not followed, so it is rejected too.
-
-    ``timeout_ms`` bounds the whole call, reply bodies and backoff included:
-    each socket timeout is the time left, and no attempt or sleep starts
-    that the time left cannot hold (:class:`BackendUnavailable` names the
-    last error).
-
-    Each thread keeps one connection per backend origin alive across calls,
-    and opens it again once, without spending a retry, when the server
-    turns out to have closed it before replying. The environment's proxy,
-    CA bundle and ``.netrc`` settings for *url* are read on the process's
-    first call to it, for every thread; a later change to the environment is
-    not seen for that URL. No cookies are kept.
+    Connection errors, timeouts, malformed replies (an informational status
+    alone too), 5xx responses and bodies that are not a JSON object are
+    retried up to ``max_retries`` extra times, with backoff. Any other status
+    but 200 raises :class:`RequestRejected` at once, a redirect (3xx) too.
+    ``timeout_ms`` bounds the whole call: each socket operation waits at most
+    for the time left, and no attempt or sleep starts that it cannot hold
+    (:class:`BackendUnavailable` names the last error). A connection the
+    server closed before replying is opened again once, without spending a
+    retry. The environment's proxy, CA bundle and ``.netrc`` settings for
+    *url* are read on the first call to it, for every thread. No cookies
+    are kept.
     """
     deadline = time.monotonic() + endpoints.timeout_ms / 1000.0
     try:
-        connection, target, headers = _route(url)
+        connection, head = _route(url)
     except (ValueError, OSError) as exc:
         raise BackendUnavailable(f"{url} cannot be used: {exc}") from exc
     body = json.dumps(payload).encode()
-    delay = RETRY_BASE_DELAY_SECONDS
-    last_error: Exception | None = None
-    attempts = 0
+    request = b"%b%d\r\n\r\n%b" % (head, len(body), body)
+    delay, attempts, last_error = RETRY_BASE_DELAY_SECONDS, 0, None
     while attempts <= endpoints.max_retries:
         if attempts:
             if time.monotonic() + delay >= deadline:
@@ -328,25 +388,20 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
             delay *= 2
         attempts += 1
         try:
-            status, data = _exchange(connection, target, body, headers, deadline)
-        except (HTTPException, OSError) as exc:
-            last_error = exc
-            continue
-        if status >= 500:
-            last_error = RuntimeError(f"HTTP {status}")
-            continue
-        if status != 200:
-            raise RequestRejected(
-                f"{url} rejected request: HTTP {status} {_error_detail(data)}".rstrip()
-            )
-        try:
-            reply = json.loads(data)
-        except (ValueError, RecursionError) as exc:
+            status, data = _exchange(connection, request, deadline)
+            if status < 500 and status != 200:
+                raise RequestRejected(
+                    f"{url} rejected request: HTTP {status} {_error_detail(data)}".rstrip()
+                )
+            reply = json.loads(data) if status == 200 else None
+        except (OSError, ValueError, RecursionError) as exc:
             last_error = exc
             continue
         if isinstance(reply, dict):
             return reply
-        last_error = RuntimeError("response body is not a JSON object")
+        last_error = RuntimeError(
+            f"HTTP {status}" if status != 200 else "response body is not a JSON object"
+        )
     raise BackendUnavailable(f"{url} unavailable after {attempts} attempt(s): {last_error}")
 
 

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import json
 import socket
+import ssl
 import statistics
 import sys
 import threading
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CannedBackend, serve_in_thread
+from conftest import FIXTURES, CannedBackend, serve_in_thread
 from faqgen import gateway
 from faqgen.chunker import Chunk, SourceDocument, iter_sentences, segment_sentences
 from faqgen.domains import InvalidDomain, default_lexicon
@@ -595,12 +596,33 @@ class TestTransport:
         assert cookies == [None, None, None]
 
     def test_connection_sets_tcp_nodelay(self, stub_server_url):
-        # http.client sends a request's headers and body in two writes; the
-        # second must not wait for the ACK of the first (Nagle).
+        # Each request goes out in one write, but a write must not wait for
+        # the ACK of the one before it on the connection (Nagle).
         url = f"{stub_server_url}/v1/domain"
         post_json(url, {"context": THREE_SENTENCES}, BackendEndpointSet())
         connection = gateway._route(url)[0]
         assert connection.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_each_request_goes_out_in_one_write(self, own_routes, stub_server_url, monkeypatch):
+        # A head and body in two writes wake the server twice per call.
+        writes = []
+        send, caller = socket.socket.sendall, threading.get_ident()
+
+        def recorded(sock, data, *args):
+            if threading.get_ident() == caller:
+                writes.append(bytes(data))
+            return send(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recorded)
+        payload = {"context": THREE_SENTENCES}
+        for _ in range(3):
+            reply = post_json(f"{stub_server_url}/v1/domain", payload, BackendEndpointSet())
+            assert reply == stub_reply("domain", **payload)
+        body = json.dumps(payload).encode()
+        assert len(writes) == 3
+        for write in writes:
+            assert write.startswith(b"POST /v1/domain HTTP/1.1\r\n")
+            assert write.endswith(b"\r\nContent-Length: %d\r\n\r\n%b" % (len(body), body))
 
     def test_connection_closed_after_reply_is_reopened_without_a_retry(self):
         class ClosesSilently(AnswersAnyPath):
@@ -918,6 +940,55 @@ class TestCaBundleEnvironment:
         with pytest.raises(BackendUnavailable, match="cannot be used"):
             post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=10))
         assert time.perf_counter() - start < RETRY_BASE_DELAY_SECONDS
+
+
+TLS = FIXTURES / "tls"
+
+
+class TestTlsRoundTrip:
+    """The stub server over TLS, with the test-only certificate and CAs in
+    tests/fixtures/tls. Each case posts to a URL that no other test uses: the
+    environment is read once per process and URL."""
+
+    @pytest.fixture
+    def tls_stub_server(self, own_routes, monkeypatch):
+        """Serves the stub over TLS; yields its port and the client address
+        of each connection it accepted."""
+        set_proxy_environment(monkeypatch, "")
+        server = create_server("127.0.0.1", 0)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS / "server.pem", TLS / "server.key")
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+        accepted = []
+        accept = server.get_request
+
+        def counted_accept():
+            connection, address = accept()
+            accepted.append(address)
+            return connection, address
+
+        server.get_request = counted_accept
+        with serving(server):
+            yield server.server_address[1], accepted
+
+    def test_calls_share_one_verified_connection(self, tls_stub_server, monkeypatch):
+        port, accepted = tls_stub_server
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS / "ca.pem"))
+        payload = {"context": THREE_SENTENCES}
+        for _ in range(2):
+            reply = post_json(f"https://localhost:{port}/v1/domain", payload,
+                              BackendEndpointSet(max_retries=0))
+            assert reply == stub_reply("domain", **payload)
+        assert len(accepted) == 1
+
+    def test_ca_that_did_not_sign_the_certificate_is_unavailable(
+        self, tls_stub_server, monkeypatch
+    ):
+        port, _ = tls_stub_server
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS / "other-ca.pem"))
+        with pytest.raises(BackendUnavailable, match="certificate verify failed"):
+            post_json(f"https://127.0.0.1:{port}/v1/domain", {"context": "x"},
+                      BackendEndpointSet(max_retries=0))
 
 
 def set_proxy_environment(monkeypatch, proxy_url: str, no_proxy: str = "") -> None:

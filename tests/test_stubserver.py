@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import contextlib
+import email.utils
 import io
 import json
 import socket
 import string
 import struct
 import sys
+import time
 
 import pytest
 import requests
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import serve_in_thread
+from faqgen import stubserver
 from faqgen.chunker import Chunk, SourceDocument, segment_sentences
 from faqgen.domains import classify, default_lexicon
 from faqgen.gateway import (
@@ -325,6 +328,67 @@ class TestKeepAlive:
             assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
             sock.sendall(body)
             assert read_reply(sock) == domain_reply()
+
+
+class TestDateHeader:
+    def test_replies_in_a_row_carry_the_date(self, stub_server_url):
+        for _ in range(2):
+            head = exchange(stub_server_url, DOMAIN_REQUEST).partition(b"\r\n\r\n")[0]
+            fields = dict(line.split(": ", 1) for line in head.decode("latin-1").split("\r\n")[1:])
+            sent = email.utils.parsedate_to_datetime(fields["Date"])
+            assert abs(sent.timestamp() - time.time()) < 2
+
+
+class TestRequestDeadline:
+    """A connection whose next request head and body have not arrived
+    ``REQUEST_SECONDS`` after the server began to wait for them is closed,
+    with no reply and no traceback."""
+
+    @pytest.fixture
+    def quick_server(self, monkeypatch):
+        """A server of its own with a 0.2 s bound; yields its URL and what it
+        printed to stderr."""
+        monkeypatch.setattr(stubserver, "REQUEST_SECONDS", 0.2)
+        server = create_server("127.0.0.1", 0)
+        serve_in_thread(server)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                yield f"http://127.0.0.1:{server.server_address[1]}", err
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_silent_connection_is_closed(self, quick_server):
+        url, err = quick_server
+        with connect(url) as sock:
+            start = time.perf_counter()
+            assert sock.recv(1) == b""
+            assert time.perf_counter() - start < 1
+        assert health_ok(url)
+        assert err.getvalue() == ""
+
+    def test_trickled_head_is_closed(self, quick_server):
+        url, err = quick_server
+        with connect(url) as sock:
+            sock.settimeout(0.05)
+            start = time.perf_counter()
+            received = None
+            # A byte per 50 ms: the whole head would take over 2 s.
+            for byte in DOMAIN_REQUEST:
+                try:
+                    sock.sendall(bytes([byte]))
+                    received = sock.recv(65536)
+                except TimeoutError:
+                    continue
+                except ConnectionError:
+                    received = b""
+                break
+            seconds = time.perf_counter() - start
+        assert received == b""
+        assert seconds < 1
+        assert health_ok(url)
+        assert err.getvalue() == ""
 
 
 class TestOfflineEqualsHttp:
