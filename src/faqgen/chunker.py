@@ -11,8 +11,9 @@ sentences, so the in-process steps never split its text again, and
 tokenizes each of them once for all its readers.
 
 The token rules live here alone: ``word_tokens`` splits text into tokens
-and ``content_tokens`` drops those in ``STOPWORDS_V1``. So does the rule that
-makes every input file text, ``read_lines``; ``decode_utf8`` names a bad byte.
+and ``content_tokens`` drops those in ``STOPWORDS_V1``. So do the rules that
+make every input file text, ``read_lines`` (``decode_utf8`` names a bad
+byte), and every parsed JSON string, ``is_text``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,16 @@ def decode_utf8(data: bytes) -> str:
     except UnicodeDecodeError as exc:
         # utf-8-sig counts from after the mark it drops.
         raise UnicodeError(f"not UTF-8 at byte offset {exc.start + bom} ({exc.reason})") from None
+
+
+def is_text(value: object) -> bool:
+    """Whether *value* is a string that UTF-8 can encode. JSON can escape a
+    lone surrogate, which UTF-8 cannot; a reply or SQuAD text holding one is
+    malformed. An ASCII string, the common case, is known to be text at once."""
+    try:
+        return isinstance(value, str) and (value.isascii() or bool(value.encode("utf-8")))
+    except UnicodeEncodeError:
+        return False
 
 
 def read_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:

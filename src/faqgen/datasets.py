@@ -2,7 +2,8 @@
 
 Question-generation tables group questions that share a byte-identical
 context and are split per domain; answer tables merge SQuAD records with
-custom rows, with or without the completed-answer column.
+custom rows, with or without the completed-answer column. A table is written
+a row at a time in the ``csv`` module's default dialect (``_csv_line``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .chunker import decode_utf8, read_lines
+from .chunker import decode_utf8, is_text, read_lines
 from .domains import DOMAINS, parse_domain
 
 DEFAULT_ROW_FLOOR = 750
@@ -91,11 +92,23 @@ class ShortfallEntry:
     floor: int
 
 
+def _squad_text(value: object, node: str, key: str) -> str:
+    """*value*, the SQuAD text at JSON path *node*.*key*, once it is text
+    (``is_text``) that is not blank."""
+    if not isinstance(value, str) or not value.strip():
+        raise MalformedDataset(f"{node}.{key}", "missing or blank")
+    if not is_text(value):
+        raise MalformedDataset(f"{node}.{key}", "not UTF-8 text")
+    return value
+
+
 def parse_squad(raw: bytes | str) -> list[SquadRecord]:
     """Parse SQuAD v1.1 JSON into flat records, document order preserved.
 
     Every malformed node raises :class:`MalformedDataset` carrying the JSON
-    path of the offender. Multiple annotated answers collapse to the first.
+    path of the offender; a context, question or first answer text must be
+    text that UTF-8 can encode. Multiple annotated answers collapse to the
+    first.
     """
     if isinstance(raw, (bytes, bytearray)):
         raw = decode_utf8(raw)
@@ -117,9 +130,7 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
             ppath = f"{base}.paragraphs[{pi}]"
             if not isinstance(paragraph, dict):
                 raise MalformedDataset(ppath, "not an object")
-            context = paragraph.get("context")
-            if not isinstance(context, str) or not context.strip():
-                raise MalformedDataset(f"{ppath}.context", "missing or blank")
+            context = _squad_text(paragraph.get("context"), ppath, "context")
             qas = paragraph.get("qas")
             if not isinstance(qas, list):
                 raise MalformedDataset(f"{ppath}.qas", "missing or not a list")
@@ -127,19 +138,14 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
                 qpath = f"{ppath}.qas[{qi}]"
                 if not isinstance(qa, dict):
                     raise MalformedDataset(qpath, "not an object")
-                question = qa.get("question")
-                if not isinstance(question, str) or not question.strip():
-                    raise MalformedDataset(f"{qpath}.question", "missing or blank")
+                question = _squad_text(qa.get("question"), qpath, "question")
                 answers = qa.get("answers")
                 if not isinstance(answers, list) or not answers:
                     raise MalformedDataset(f"{qpath}.answers", "missing or empty")
                 first = answers[0]
-                if not isinstance(first, dict) or not isinstance(first.get("text"), str) \
-                        or not first["text"].strip():
-                    raise MalformedDataset(f"{qpath}.answers[0].text", "missing or blank")
-                records.append(
-                    SquadRecord(context=context, question=question, answer_text=first["text"])
-                )
+                text = first.get("text") if isinstance(first, dict) else None
+                text = _squad_text(text, qpath, "answers[0].text")
+                records.append(SquadRecord(context=context, question=question, answer_text=text))
     return records
 
 
@@ -245,12 +251,24 @@ def qg_filename(domain: str) -> str:
     return f"qg_{domain_slug(domain)}.csv"
 
 
+def _csv_line(cells: Iterable[str]) -> str:
+    """*cells*, two or more, as one line of the ``csv`` module's default
+    ``excel`` dialect: a cell that holds '"', ',', "\\r" or "\\n" is quoted,
+    each '"' doubled; any other cell is written as it is, a NUL too (as the
+    module does from Python 3.11 on); ',' joins the cells and "\\r\\n" ends
+    the line."""
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"'
+        if '"' in cell or "," in cell or "\r" in cell or "\n" in cell else cell
+        for cell in cells
+    ) + "\r\n"
+
+
 def write_qg_table(path: str | Path, rows: Iterable[QgRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QG_HEADER)
+        fh.write(_csv_line(QG_HEADER))
         for row in rows:
-            writer.writerow([row.context, QUESTION_JOINER.join(row.questions_list)])
+            fh.write(_csv_line((row.context, QUESTION_JOINER.join(row.questions_list))))
 
 
 def read_qg_table(path: str | Path) -> list[QgRow]:
@@ -266,13 +284,12 @@ def write_answer_table(
     path: str | Path, rows: Iterable[AnswerRow], include_complete: bool
 ) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AC_HEADER if include_complete else AE_HEADER)
+        fh.write(_csv_line(AC_HEADER if include_complete else AE_HEADER))
         for row in rows:
-            record = [row.context, row.question, row.answer_phrase]
+            cells = [row.context, row.question, row.answer_phrase]
             if include_complete:
-                record.append(row.complete_answer or "")
-            writer.writerow(record)
+                cells.append(row.complete_answer or "")
+            fh.write(_csv_line(cells))
 
 
 def read_custom_table(path: str | Path) -> list[AnswerRow]:

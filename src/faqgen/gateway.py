@@ -31,7 +31,7 @@ from urllib.parse import urlsplit
 
 import requests
 
-from .chunker import TERMINALS, Chunk, content_tokens, iter_sentences, word_tokens
+from .chunker import TERMINALS, Chunk, content_tokens, is_text, iter_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
 
 DEFAULT_QUESTION_CAP = 5
@@ -241,14 +241,20 @@ def _resolve(url: str) -> tuple:
     plain-HTTP proxy is sent the absolute URI; an HTTPS URL is tunnelled
     through it (CONNECT). Returns the connection's key (origin and proxy), a
     POST's head up to its Content-Length value, and the route: the address to
-    connect to, the CONNECT request, the SSL context and host name. Raises
-    ValueError or OSError when *url* or a setting cannot be used."""
-    url = requests.utils.requote_uri(url)
+    connect to, the CONNECT request, the SSL context and host name. An
+    internationalised host name is read, sent and verified in its IDNA form.
+    Raises ValueError or OSError when *url* or a setting cannot be used."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"not an http(s) URL: {url!r}")
-    host = parts.hostname.encode("idna").decode()  # raises for a name no resolver takes
-    host = f"[{host}]" if ":" in host else host
+    name = parts.hostname.encode("idna").decode()  # raises for a name no resolver takes
+    if name != parts.hostname:  # requote_uri would percent-encode an internationalised name
+        userinfo, at, hostport = parts.netloc.rpartition("@")
+        _, colon, port_text = hostport.partition(":")
+        url = parts._replace(netloc=f"{userinfo}{at}{name}{colon}{port_text}").geturl()
+    url = requests.utils.requote_uri(url)
+    parts = urlsplit(url)
+    host = f"[{name}]" if ":" in name else name
     port = parts.port or (443 if parts.scheme == "https" else 80)
     origin = f"{host}:{port}"
     fields = f"Host: {origin if parts.port else host}\r\nAccept-Encoding: identity\r\n"
@@ -353,7 +359,7 @@ def _error_detail(data: bytes) -> str:
         detail = reply.get("error", "")
     else:
         detail = data.decode("utf-8", "replace")[:200]
-    return detail if _is_text(detail) else ascii(detail)
+    return detail if is_text(detail) else ascii(detail)
 
 
 def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
@@ -525,23 +531,11 @@ def _dispatch(
     return STUB_HANDLERS[step](request, lexicon, chunk), f"{step} stub"
 
 
-def _is_text(value: object) -> bool:
-    """Whether *value* is a string that UTF-8 can encode. JSON can escape a
-    lone surrogate, which UTF-8 cannot; a reply holding one is malformed."""
-    if not isinstance(value, str):
-        return False
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def _reply_text(reply: dict, key: str, source: str) -> str:
-    """The reply's *key*, which must be text (``_is_text``) that is not
+    """The reply's *key*, which must be text (``is_text``) that is not
     blank, trimmed."""
     value = reply.get(key)
-    if not _is_text(value):
+    if not is_text(value):
         raise BackendUnavailable(f"{source} returned malformed {key} body")
     text = value.strip()
     if not text:
@@ -583,7 +577,7 @@ def generate_questions(
     request = {"context": chunk.context, "domain": domain, "cap": cap}
     reply, source = _dispatch("questions", request, endpoints, chunk)
     raw = reply.get("questions")
-    if not isinstance(raw, list) or not all(_is_text(q) for q in raw):
+    if not isinstance(raw, list) or not all(is_text(q) for q in raw):
         raise BackendUnavailable(f"{source} returned malformed questions body")
     texts = [q.strip() for q in raw if q.strip()][:cap]
     texts = list(dict.fromkeys(t if t.endswith("?") else t + "?" for t in texts))

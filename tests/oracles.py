@@ -5,11 +5,14 @@ character scans, Decimal arithmetic, no ``re``) so that it shares no code
 with the package under test. The stopword, punctuation and abbreviation
 sets are re-listed literally: they are part of the scoring and segmentation
 contract, and duplicating them guards against accidental edits on either
-side.
+side. The CSV oracle is the standard library's own ``csv.writer``, whose
+bytes the package's table writer keeps.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from decimal import ROUND_HALF_UP, Decimal
 
 ORACLE_STOPWORDS = {
@@ -248,3 +251,10 @@ def oracle_stub_answer(context: str, question: str) -> str:
     if sentence[-1] in ".!?":
         return sentence
     return sentence + "."
+
+
+def oracle_csv_line(cells: list[str]) -> str:
+    """*cells* as one line of ``csv.writer`` in its default dialect."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerow(cells)
+    return buffer.getvalue()

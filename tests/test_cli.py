@@ -395,6 +395,22 @@ class TestDatasetCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["Context", "Question", "Answer Phrase", "Complete Answer"]
 
+    def test_squad_group_writes_a_nul_as_it_is(self, tmp_path, capsys):
+        # csv.writer on Python 3.10 raised for a NUL; the bytes are pinned
+        # here, as 3.11's csv.writer writes them.
+        squad = tmp_path / "squad.json"
+        qa = {"question": "Q?", "answers": [{"text": "a"}]}
+        squad.write_text(json.dumps({"data": [{"paragraphs": [
+            {"context": "Cats\u0000 sleep.", "qas": [qa]}
+        ]}]}), encoding="utf-8")
+        out_dir = tmp_path / "tables"
+        argv = ["dataset", "squad-group", "--squad", str(squad), "--output-dir", str(out_dir)]
+        assert run_cli(argv, {}) == 0
+        assert capsys.readouterr().err == ""
+        written = [path.read_bytes() for path in out_dir.glob("qg_*.csv")]
+        assert len(written) == 17
+        assert b"Context,Questions List\r\nCats\x00 sleep.,Q?\r\n" in written
+
     def test_build_ac_missing_complete_answer_fails(self, tmp_path, capsys):
         custom = tmp_path / "custom.csv"
         with open(custom, "w", newline="", encoding="utf-8") as fh:
@@ -580,6 +596,29 @@ class TestMalformedInputExits1:
         argv = ["dataset", "build-ae", "--squad", str(squad), "--output", str(output)]
         assert run_cli(argv, {}) == 1
         assert one_error_line(capsys.readouterr().err) == f"{squad}: {path}: missing or blank"
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "context, question, answer, path",
+        [
+            ("Cats \ud800 sleep.", "Q?", "a", "data[0].paragraphs[0].context"),
+            ("Ctx.", "Why \udfff?", "a", "data[0].paragraphs[0].qas[0].question"),
+            ("Ctx.", "Q?", "\ud800", "data[0].paragraphs[0].qas[0].answers[0].text"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["squad-group", "build-ae"])
+    def test_lone_surrogate_squad_field(self, tmp_path, capsys, command, context, question,
+                                        answer, path):
+        # JSON escapes the surrogate, so the file itself is valid UTF-8.
+        squad = tmp_path / "squad.json"
+        squad.write_text(json.dumps({"data": [{"paragraphs": [
+            {"context": context, "qas": [{"question": question, "answers": [{"text": answer}]}]}
+        ]}]}), encoding="utf-8")
+        output = tmp_path / "out"
+        argv = ["dataset", command, "--squad", str(squad),
+                "--output-dir" if command == "squad-group" else "--output", str(output)]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == f"{squad}: {path}: not UTF-8 text"
         assert not output.exists()
 
 

@@ -3,14 +3,18 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faqgen.datasets import (
     AE_HEADER,
     AC_HEADER,
     QG_HEADER,
+    QUESTION_JOINER,
     AnswerRow,
     MalformedDataset,
     MissingCompleteAnswer,
@@ -29,6 +33,7 @@ from faqgen.datasets import (
     write_qg_table,
 )
 from faqgen.domains import DOMAINS
+from oracles import oracle_csv_line
 
 MARKET_RESEARCH_CONTEXT = (
     "Primary market research is a customised research technique that marketing "
@@ -141,6 +146,34 @@ class TestParseSquad:
         with pytest.raises(MalformedDataset) as excinfo:
             parse_squad(b'{"data": [{"title": "x"}]}')
         assert "data[0].paragraphs" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "place, path",
+        [
+            (lambda p: p["data"][0]["paragraphs"][1], "data[0].paragraphs[1].context"),
+            (lambda p: p["data"][0]["paragraphs"][0]["qas"][1],
+             "data[0].paragraphs[0].qas[1].question"),
+            (lambda p: p["data"][0]["paragraphs"][0]["qas"][0]["answers"][0],
+             "data[0].paragraphs[0].qas[0].answers[0].text"),
+        ],
+    )
+    def test_lone_surrogate_is_malformed_with_path(self, place, path):
+        # JSON can escape a lone surrogate, which no UTF-8 table can hold.
+        payload = squad_payload()
+        key = path.rsplit(".", 1)[1]
+        place(payload)[key] = "Cats \ud800 sleep."
+        raw = json.dumps(payload)
+        assert "\\ud800" in raw
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(raw)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text"
+
+    def test_surrogate_pair_is_text(self):
+        payload = squad_payload()
+        payload["data"][0]["paragraphs"][0]["context"] = "Cats \U0001f431 sleep."
+        raw = json.dumps(payload)
+        assert "\\ud83d\\udc31" in raw
+        assert parse_squad(raw)[0].context == "Cats \U0001f431 sleep."
 
 
 class TestBuildQgDatasets:
@@ -366,6 +399,85 @@ class TestCsvRoundTrips:
             tracemalloc.stop()
         assert records == rows
         assert peak < 2 * size
+
+
+def answer_cells(row: AnswerRow, include_complete: bool) -> list[str]:
+    cells = [row.context, row.question, row.answer_phrase]
+    return cells + [row.complete_answer or ""] if include_complete else cells
+
+
+def oracle_table(header: list[str], rows: list[list[str]]) -> bytes:
+    return "".join(map(oracle_csv_line, [header, *rows])).encode("utf-8")
+
+
+# Arbitrary text draws '"', ',', "\r", "\n" and NUL often. csv.writer on
+# Python 3.10 raises for a NUL; 3.11 and later write it as it is.
+CELL_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",),
+                  exclude_characters="" if sys.version_info >= (3, 11) else "\0"),
+    max_size=12,
+)
+CELL_TEXT_NO_PIPE = CELL_TEXT.map(lambda text: text.replace("|", ""))
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+class TestCsvWriter:
+    """The tables are written in the bytes of ``csv.writer``'s default dialect."""
+
+    def test_quoting_rules(self, tmp_path):
+        path = tmp_path / "ac.csv"
+        rows = [
+            AnswerRow('say "hi"', "a,b", "one\rtwo", "x\ny"),
+            AnswerRow(" lead", "tab\there", "é|'`", None),
+            AnswerRow("crlf\r\nend", '"', "plain", ""),
+        ]
+        write_answer_table(path, rows, include_complete=True)
+        assert path.read_bytes() == (
+            b"Context,Question,Answer Phrase,Complete Answer\r\n"
+            b'"say ""hi""","a,b","one\rtwo","x\ny"\r\n'
+            b" lead,tab\there,\xc3\xa9|'`,\r\n"
+            b'"crlf\r\nend","""",plain,\r\n'
+        )
+
+    def test_nul_is_written_as_it_is(self, tmp_path):
+        # Bytes pinned here, not through csv.writer, which raises for a NUL
+        # on Python 3.10.
+        qg, ae = tmp_path / "qg.csv", tmp_path / "ae.csv"
+        write_qg_table(qg, [QgRow("Cats\0 sleep.", ("Do\0 cats sleep?", "When?"))])
+        write_answer_table(ae, [AnswerRow("Cats\0 sleep.", "Q?", '"\0"')], False)
+        assert qg.read_bytes() == (
+            b"Context,Questions List\r\nCats\0 sleep.,Do\0 cats sleep? | When?\r\n"
+        )
+        assert ae.read_bytes() == (
+            b'Context,Question,Answer Phrase\r\nCats\0 sleep.,Q?,"""\0"""\r\n'
+        )
+
+    @example(rows=[('"', ("\r",)), ("\r\n", (" leading space", ""))])
+    @example(rows=[("", ('"',)), (" ", ("\r\n", "\r"))])
+    @given(st.lists(st.tuples(CELL_TEXT, st.lists(CELL_TEXT_NO_PIPE, min_size=1, max_size=3)),
+                    max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_qg_table_matches_the_oracle(self, table_dir, rows):
+        path = table_dir / "qg.csv"
+        write_qg_table(path, [QgRow(context, tuple(qs)) for context, qs in rows])
+        expected = [[context, QUESTION_JOINER.join(qs)] for context, qs in rows]
+        assert path.read_bytes() == oracle_table(QG_HEADER, expected)
+
+    @example(rows=[AnswerRow('"', "\r", "\r\n", "")])
+    @example(rows=[AnswerRow(" leading space", '"', "\r", None), AnswerRow("a", "b", "c", "")])
+    @given(st.lists(st.builds(AnswerRow, CELL_TEXT.filter(bool), CELL_TEXT.filter(bool),
+                              CELL_TEXT.filter(bool), st.none() | CELL_TEXT), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_answer_tables_match_the_oracle(self, table_dir, rows):
+        path = table_dir / "answers.csv"
+        for include_complete, header in ((False, AE_HEADER), (True, AC_HEADER)):
+            write_answer_table(path, rows, include_complete)
+            expected = [answer_cells(row, include_complete) for row in rows]
+            assert path.read_bytes() == oracle_table(header, expected)
 
 
 class TestNaming:

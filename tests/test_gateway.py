@@ -746,6 +746,24 @@ class TestTransport:
         assert time.perf_counter() - start < RETRY_BASE_DELAY_SECONDS
 
 
+class TestInternationalisedHost:
+    # An internationalised name goes out in IDNA (ASCII) form: in the
+    # address, the Host header, the connection key and the TLS server name.
+
+    @pytest.mark.parametrize("url, ascii_url", [
+        ("http://bücher.example:8080/v1/domain", "http://xn--bcher-kva.example:8080/v1/domain"),
+        ("http://user:pw@BÜCHER.example/v1/d?q=ü", "http://user:pw@xn--bcher-kva.example/v1/d?q=ü"),
+    ])
+    def test_route_is_that_of_the_idna_name(self, url, ascii_url):
+        assert gateway._resolve(url) == gateway._resolve(ascii_url)
+        assert b"Host: xn--bcher-kva.example" in gateway._resolve(url)[1]
+
+    def test_label_idna_rejects_is_unavailable_at_once(self):
+        with pytest.raises(BackendUnavailable, match="cannot be used"):
+            post_json("http://b\ufffdcher.invalid/v1/domain", {"context": "x"},
+                      BackendEndpointSet(max_retries=10))
+
+
 class TestCallDeadline:
     """``timeout_ms`` bounds one call in total: attempts, reconnections and
     backoff sleeps."""
@@ -1010,6 +1028,16 @@ class TestProxyEnvironment:
         reply = post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=0))
         assert reply == {"domain": "Gaming"}
         assert proxy.requests == [(url, {"context": "x"})]
+
+    def test_internationalised_name_reaches_the_proxy_in_idna(self, canned_backend,
+                                                               monkeypatch):
+        sent = "http://xn--bcher-kva.invalid/v1/domain"
+        proxy_url, proxy = canned_backend({sent: [(200, {"domain": "Gaming"})]})
+        set_proxy_environment(monkeypatch, proxy_url)
+        reply = post_json("http://bücher.invalid/v1/domain", {"context": "x"},
+                          BackendEndpointSet(max_retries=0))
+        assert reply == {"domain": "Gaming"}
+        assert proxy.requests == [(sent, {"context": "x"})]
 
     def test_no_proxy_host_is_reached_directly(self, canned_backend, monkeypatch):
         # A local backend, so that no test resolves a name.
