@@ -1,7 +1,7 @@
 """SQuAD v1.1 parsing and assembly of the three training tables.
 
 Question-generation tables group questions that share a byte-identical
-context and are split per domain; answer tables merge SQuAD records with
+context and are split per domain; answer tables merge SQuAD rows with
 custom rows, with or without the completed-answer column. A table is written
 a row at a time in the ``csv`` module's default dialect (``_csv_line``).
 """
@@ -42,19 +42,6 @@ class MissingCompleteAnswer(ValueError):
 
 
 @dataclass(frozen=True)
-class SquadRecord:
-    """One (context, question) pair with the first listed answer."""
-
-    context: str
-    question: str
-    answer_text: str
-
-    def __post_init__(self) -> None:
-        if not self.context or not self.question or not self.answer_text:
-            raise ValueError("SquadRecord fields must be non-empty")
-
-
-@dataclass(frozen=True)
 class QgRow:
     """A context with every question asked of it, in original order."""
 
@@ -71,7 +58,8 @@ class QgRow:
 
 @dataclass(frozen=True)
 class AnswerRow:
-    """One row of the answer-extraction or answer-completion table."""
+    """One row of the answer-extraction or answer-completion table; a SQuAD
+    question with its first answer is one without a complete answer."""
 
     context: str
     question: str
@@ -102,8 +90,9 @@ def _squad_text(value: object, node: str, key: str) -> str:
     return value
 
 
-def parse_squad(raw: bytes | str) -> list[SquadRecord]:
-    """Parse SQuAD v1.1 JSON into flat records, document order preserved.
+def parse_squad(raw: bytes | str) -> list[AnswerRow]:
+    """Parse SQuAD v1.1 JSON into answer-extraction rows, document order
+    preserved.
 
     Every malformed node raises :class:`MalformedDataset` carrying the JSON
     path of the offender; a context, question or first answer text must be
@@ -121,7 +110,7 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
     if not isinstance(payload, dict) or not isinstance(payload.get("data"), list):
         raise MalformedDataset("data", "missing or not a list")
 
-    records: list[SquadRecord] = []
+    records: list[AnswerRow] = []
     for ai, article in enumerate(payload["data"]):
         base = f"data[{ai}]"
         if not isinstance(article, dict) or not isinstance(article.get("paragraphs"), list):
@@ -145,12 +134,12 @@ def parse_squad(raw: bytes | str) -> list[SquadRecord]:
                 first = answers[0]
                 text = first.get("text") if isinstance(first, dict) else None
                 text = _squad_text(text, qpath, "answers[0].text")
-                records.append(SquadRecord(context=context, question=question, answer_text=text))
+                records.append(AnswerRow(context, question, text))
     return records
 
 
 def build_qg_datasets(
-    records: Iterable[SquadRecord],
+    records: Iterable[AnswerRow],
     classify_fn: Callable[[str], str],
     floor: int = DEFAULT_ROW_FLOOR,
 ) -> tuple[dict[str, list[QgRow]], list[ShortfallEntry]]:
@@ -177,19 +166,11 @@ def build_qg_datasets(
     return tables, shortfalls
 
 
-def build_ae_dataset(
-    squad: Iterable[SquadRecord], custom: Iterable[AnswerRow]
-) -> list[AnswerRow]:
-    """Answer-extraction table: SQuAD rows first, then custom rows with the
-    complete-answer column dropped."""
-    rows = [
-        AnswerRow(context=r.context, question=r.question, answer_phrase=r.answer_text)
-        for r in squad
-    ]
-    rows.extend(
-        AnswerRow(context=r.context, question=r.question, answer_phrase=r.answer_phrase)
-        for r in custom
-    )
+def build_ae_dataset(squad: Iterable[AnswerRow], custom: Iterable[AnswerRow]) -> list[AnswerRow]:
+    """Answer-extraction table: the SQuAD rows (``parse_squad``) as they are,
+    then the custom rows with the complete-answer column dropped."""
+    rows = list(squad)
+    rows.extend(AnswerRow(r.context, r.question, r.answer_phrase) for r in custom)
     return rows
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,8 +42,6 @@ DOMAINS: tuple[str, ...] = (
 GENERIC_DOMAIN = "News and Social Concern"
 
 MIN_TERMS_PER_DOMAIN = 10
-
-_DEFAULT_LEXICON_RESOURCE = "lexicon_v1.txt"
 
 
 class EmptyContext(ValueError):
@@ -105,29 +102,25 @@ def parse_domain(name: str) -> str:
     return name
 
 
-def _parse_lexicon_lines(lines: Iterable[str]) -> DomainLexicon:
-    entries: dict[str, set[str]] = {domain: set() for domain in DOMAINS}
-    for number, raw_line in enumerate(lines, start=1):
-        line = raw_line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise LexiconFormatError(f"line {number}: expected '<domain>\\t<term>'")
-        domain, term = fields
-        if domain not in DOMAINS:
-            raise LexiconFormatError(f"line {number}: unknown domain {domain!r}")
-        entries[domain].add(term)
-    return DomainLexicon(entries={domain: frozenset(terms) for domain, terms in entries.items()})
-
-
 def load_lexicon(path: str | Path) -> DomainLexicon:
     """Load a tab-separated ``<domain>\\t<term>`` lexicon file (``read_lines``).
 
     A malformed file or a bad byte raises :class:`LexiconFormatError` naming *path*.
     """
+    entries: dict[str, set[str]] = {domain: set() for domain in DOMAINS}
     try:
-        return _parse_lexicon_lines(read_lines(path))
+        for number, raw_line in enumerate(read_lines(path), start=1):
+            line = raw_line.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"line {number}: expected '<domain>\\t<term>'")
+            domain, term = fields
+            if domain not in DOMAINS:
+                raise ValueError(f"line {number}: unknown domain {domain!r}")
+            entries[domain].add(term)
+        return DomainLexicon(entries)
     except ValueError as exc:
         raise LexiconFormatError(f"{path}: {exc}") from None
 
@@ -135,9 +128,7 @@ def load_lexicon(path: str | Path) -> DomainLexicon:
 @lru_cache(maxsize=1)
 def default_lexicon() -> DomainLexicon:
     """The lexicon shipped with the package."""
-    resource = resources.files("faqgen").joinpath("data", _DEFAULT_LEXICON_RESOURCE)
-    with resource.open("r", encoding="utf-8") as fh:
-        return _parse_lexicon_lines(fh)
+    return load_lexicon(Path(__file__).parent / "data" / "lexicon_v1.txt")
 
 
 def lexicon_hits(

@@ -128,6 +128,8 @@ _thread = threading.local()
 _MAX_ROUTES = 32
 MAX_LINE_BYTES = 64 * 1024
 MAX_HEADERS = 100
+MAX_BODY_BYTES = 16 * 1024 * 1024
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 class ProtocolError(OSError):
@@ -175,6 +177,21 @@ def read_head(file: io.BufferedReader, start_line: Callable[[str], tuple]) -> tu
         # A repeated header's values are joined: two lengths are no number.
         headers[name] = f"{headers[name]}, {value}" if name in headers else value
     raise ProtocolError(f"more than {MAX_HEADERS} headers", 431)
+
+
+def body_length(text: str, base: int = 10, read: int = 0) -> int:
+    """The body length *text* declares in ASCII digits of *base*: 10 for a
+    Content-Length, 16 for a chunk size, after *read* bytes of the body.
+    ``int()`` would also take "+2", "1_0" and "0x2". Raises ProtocolError:
+    413 when the body would pass ``MAX_BODY_BYTES``, else 400."""
+    if not text or text.strip(_HEX_DIGITS if base == 16 else "0123456789"):
+        raise ProtocolError(f"a body length must be ASCII digits, not {text[:20]!r}")
+    # Nine significant digits are past the bound in either base, and int()
+    # refuses a string of thousands.
+    size = int(text.lstrip("0")[:9] or "0", base)
+    if read + size > MAX_BODY_BYTES:
+        raise ProtocolError(f"body exceeds {MAX_BODY_BYTES} bytes", 413)
+    return size
 
 
 def _status_line(line: str) -> tuple[int, bool]:
@@ -297,7 +314,7 @@ def _time_left(deadline: float) -> float:
 
 
 def _read_exact(file: io.BufferedReader, size: int) -> bytes:
-    data = file.read(size) if size >= 0 else b""
+    data = file.read(size)
     if len(data) != size:
         raise ProtocolError(f"reply body is {len(data)} bytes, not {size}")
     return data
@@ -329,17 +346,22 @@ def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple
         if status in (204, 304):
             data = b""
         elif headers.get("transfer-encoding", "").lower() == "chunked":
-            pieces = []
-            while size := int(file.readline(MAX_LINE_BYTES + 1).split(b";")[0], 16):
+            pieces, read = [], 0
+            while size := body_length(
+                str(file.readline(MAX_LINE_BYTES + 1), "latin-1").split(";")[0].strip(), 16, read
+            ):
                 pieces.append(_read_exact(file, size))
                 _read_exact(file, 2)
+                read += size
             while file.readline(MAX_LINE_BYTES + 1) not in (b"\r\n", b"\n", b""):
                 pass  # a trailer field
             data = b"".join(pieces)
         elif "content-length" in headers:
-            data = _read_exact(file, int(headers["content-length"]))
+            data = _read_exact(file, body_length(headers["content-length"]))
         else:
-            data, close = file.read(), True
+            data, close = file.read(MAX_BODY_BYTES + 1), True
+            if len(data) > MAX_BODY_BYTES:
+                raise ProtocolError(f"body exceeds {MAX_BODY_BYTES} bytes", 413)
         if close or "close" in headers.get("connection", "").lower():
             connection.close()
         return status, data

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -61,12 +60,6 @@ class DomainAggregate:
     stddevs: tuple[float, ...]
 
 
-def _round_half_away(value: Fraction) -> int:
-    if value < 0:
-        return -int(-value + Fraction(1, 2))
-    return int(value + Fraction(1, 2))
-
-
 def _validate(records: Sequence[ReviewRecord]) -> None:
     seen: set[tuple[str, str]] = set()
     doc_domains: dict[str, str] = {}
@@ -97,9 +90,11 @@ def _domain_groups(records: Sequence[ReviewRecord]) -> dict[str, list[ReviewReco
 
 
 def _averages(rows: list[ReviewRecord]) -> tuple[int, ...]:
+    """Each question's mean score, rounded half up in integers: scores are
+    never negative, so that is half away from zero."""
+    n = len(rows)
     return tuple(
-        _round_half_away(Fraction(sum(r.scores[q] for r in rows), len(rows)))
-        for q in range(SCORE_COUNT)
+        (2 * sum(r.scores[q] for r in rows) + n) // (2 * n) for q in range(SCORE_COUNT)
     )
 
 

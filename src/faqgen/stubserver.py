@@ -38,11 +38,18 @@ from email.utils import formatdate
 from functools import lru_cache
 from http import HTTPStatus
 
-from .gateway import STUB_HANDLERS, ProtocolError, RequestRejected, SocketReader, read_head
+from .gateway import (
+    MAX_BODY_BYTES,  # the bound of a request body, kept importable from here
+    STUB_HANDLERS,
+    ProtocolError,
+    RequestRejected,
+    SocketReader,
+    body_length,
+    read_head,
+)
 
 _ROUTES = {f"/v1/{step}": handler for step, handler in STUB_HANDLERS.items()}
 
-MAX_BODY_BYTES = 16 * 1024 * 1024
 REQUEST_SECONDS = 30.0  # to send a request's head and body, idle time included
 
 _VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
@@ -113,18 +120,16 @@ class _StubHandler(socketserver.BaseRequestHandler):
         handler = _ROUTES.get(path) if method == "POST" else None
         if handler is None:
             raise ProtocolError(f"no such endpoint: {path}", 404)
-        # One Content-Length of ASCII digits: int() would also take "+2" and
-        # "1_0", and two lengths would frame the body two ways.
-        length = headers.get("content-length", "0")
-        if not (length.isascii() and length.isdigit()) or "transfer-encoding" in headers:
+        # One Content-Length (``body_length``): two lengths, or a length and
+        # chunks, would frame the body two ways.
+        if "transfer-encoding" in headers:
             raise ProtocolError("a body needs one Content-Length of ASCII digits")
-        if int(length) > MAX_BODY_BYTES:
-            raise ProtocolError(f"request body exceeds {MAX_BODY_BYTES} bytes", 413)
+        length = body_length(headers.get("content-length", "0"))
         if http11 and headers.get("expect", "").lower() == "100-continue":
             # Sent at once: the client holds the body back until it arrives.
             self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
-            body = json.loads(self.rfile.read(int(length)).decode("utf-8") or "null")
+            body = json.loads(self.rfile.read(length).decode("utf-8") or "null")
             if not isinstance(body, dict):
                 raise RequestRejected("request body must be a JSON object")
             status, payload = 200, handler(body, None, None)

@@ -172,6 +172,15 @@ class TestGenerate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_config_integer_that_is_not_one_is_usage_error(self, doc_file, tmp_path, capsys):
+        config = tmp_path / "soon.conf"
+        config.write_text("chunk_size_words = 30\ntimeout_ms = soon\n", encoding="utf-8")
+        argv = ["generate", "--input", str(doc_file), "--count", "1", "--config", str(config)]
+        assert run_cli(argv, {}) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}:2: timeout_ms must be an integer\n"
+
     def test_timeout_past_one_day_is_usage_error(self, doc_file, tmp_path, stub_server_url, capsys):
         # No socket timeout holds 9999999999999 ms; the config is refused
         # before any call is made.
@@ -578,6 +587,19 @@ class TestMalformedInputExits1:
         assert one_error_line(capsys.readouterr().err) == (
             f"{squad}: data[0].paragraphs[0].context: missing or blank"
         )
+
+    def test_build_ae_squad_question_not_an_object(self, tmp_path, capsys):
+        squad = tmp_path / "squad.json"
+        squad.write_text(json.dumps({"data": [{"paragraphs": [
+            {"context": "Ctx.", "qas": ["Q?"]}
+        ]}]}), encoding="utf-8")
+        output = tmp_path / "ae.csv"
+        argv = ["dataset", "build-ae", "--squad", str(squad), "--output", str(output)]
+        assert run_cli(argv, {}) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            f"{squad}: data[0].paragraphs[0].qas[0]: not an object"
+        )
+        assert not output.exists()
 
     @pytest.mark.parametrize(
         "context, question, answer, path",

@@ -20,7 +20,6 @@ from faqgen.datasets import (
     MissingCompleteAnswer,
     PipeInQuestion,
     QgRow,
-    SquadRecord,
     build_ac_dataset,
     build_ae_dataset,
     build_qg_datasets,
@@ -84,8 +83,8 @@ class TestParseSquad:
     def test_fixture_yields_six_records(self):
         records = parse_squad(json.dumps(squad_payload()).encode("utf-8"))
         assert len(records) == 6
-        assert records[0] == SquadRecord(
-            context="Paragraph one text.", question="Q1?", answer_text="A1"
+        assert records[0] == AnswerRow(
+            context="Paragraph one text.", question="Q1?", answer_phrase="A1"
         )
         assert [r.question for r in records] == ["Q1?", "Q2?", "Q3?", "Q4?", "Q5?", "Q6?"]
 
@@ -112,7 +111,7 @@ class TestParseSquad:
             {"text": "second", "answer_start": 5},
         ]
         records = parse_squad(json.dumps(payload))
-        assert records[0].answer_text == "first"
+        assert records[0].answer_phrase == "first"
 
     def test_invalid_json(self):
         with pytest.raises(MalformedDataset):
@@ -148,6 +147,23 @@ class TestParseSquad:
         assert "data[0].paragraphs" in str(excinfo.value)
 
     @pytest.mark.parametrize(
+        "data, error",
+        [
+            ({}, "data: missing or not a list"),
+            ([{"paragraphs": ["Ctx."]}], "data[0].paragraphs[0]: not an object"),
+            ([{"paragraphs": [{"context": "Ctx.", "qas": {}}]}],
+             "data[0].paragraphs[0].qas: missing or not a list"),
+            ([{"paragraphs": [{"context": "Ctx.", "qas": ["Q?"]}]}],
+             "data[0].paragraphs[0].qas[0]: not an object"),
+        ],
+    )
+    def test_wrong_node_type_is_malformed_with_path(self, data, error):
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(json.dumps({"data": data}))
+        assert excinfo.value.path == error.split(": ")[0]
+        assert str(excinfo.value) == error
+
+    @pytest.mark.parametrize(
         "place, path",
         [
             (lambda p: p["data"][0]["paragraphs"][1], "data[0].paragraphs[1].context"),
@@ -179,12 +195,12 @@ class TestParseSquad:
 class TestBuildQgDatasets:
     def _records(self):
         return [
-            SquadRecord("Sports context alpha.", "Who won?", "team"),
-            SquadRecord("Sports context alpha.", "When was it?", "monday"),
-            SquadRecord("Music context bravo.", "What key?", "d minor"),
-            SquadRecord("Sports context alpha.", "Where was it?", "stadium"),
-            SquadRecord("Gaming context charlie.", "Which console?", "retro"),
-            SquadRecord("Music context bravo.", "Which singer?", "someone"),
+            AnswerRow("Sports context alpha.", "Who won?", "team"),
+            AnswerRow("Sports context alpha.", "When was it?", "monday"),
+            AnswerRow("Music context bravo.", "What key?", "d minor"),
+            AnswerRow("Sports context alpha.", "Where was it?", "stadium"),
+            AnswerRow("Gaming context charlie.", "Which console?", "retro"),
+            AnswerRow("Music context bravo.", "Which singer?", "someone"),
         ]
 
     def test_grouping_preserves_first_appearance_order(self):
@@ -205,11 +221,11 @@ class TestBuildQgDatasets:
 
     def test_shortfall_reported_for_underfloor_domains(self):
         records = [
-            SquadRecord("Sports context.", f"Q{i}?", "a") for i in range(10)
+            AnswerRow("Sports context.", f"Q{i}?", "a") for i in range(10)
         ]
         # identical contexts group to ONE row; make 10 distinct contexts
         records = [
-            SquadRecord(f"Sports context number {i}.", f"Q{i}?", "a") for i in range(10)
+            AnswerRow(f"Sports context number {i}.", f"Q{i}?", "a") for i in range(10)
         ]
         tables, shortfalls = build_qg_datasets(records, classify_by_marker, floor=750)
         assert len(tables["Sports"]) == 10
@@ -220,19 +236,19 @@ class TestBuildQgDatasets:
 
     def test_no_shortfall_when_floor_met(self):
         records = [
-            SquadRecord(f"Sports context number {i}.", f"Q{i}?", "a") for i in range(3)
+            AnswerRow(f"Sports context number {i}.", f"Q{i}?", "a") for i in range(3)
         ]
         _, shortfalls = build_qg_datasets(records, classify_by_marker, floor=3)
         assert all(entry.domain != "Sports" for entry in shortfalls)
 
     def test_pipe_in_question_rejected(self):
-        records = [SquadRecord("Some context.", "What | why?", "a")]
+        records = [AnswerRow("Some context.", "What | why?", "a")]
         with pytest.raises(PipeInQuestion):
             build_qg_datasets(records, classify_by_marker)
 
     def test_context_perturbation_splits_group(self):
-        base = SquadRecord("Sports context alpha.", "Who?", "x")
-        perturbed = SquadRecord("Sports context alphA.", "When?", "y")
+        base = AnswerRow("Sports context alpha.", "Who?", "x")
+        perturbed = AnswerRow("Sports context alphA.", "When?", "y")
         tables, _ = build_qg_datasets([base, perturbed], classify_by_marker)
         assert len(tables["Sports"]) == 2
 
@@ -246,8 +262,8 @@ class TestBuildQgDatasets:
 class TestBuildAeDataset:
     def test_concatenates_and_strips_complete_answer(self):
         squad = [
-            SquadRecord("Ctx one.", "Q1?", "phrase one"),
-            SquadRecord("Ctx two.", "Q2?", "phrase two"),
+            AnswerRow("Ctx one.", "Q1?", "phrase one"),
+            AnswerRow("Ctx two.", "Q2?", "phrase two"),
         ]
         custom = [
             AnswerRow(
@@ -267,9 +283,38 @@ class TestBuildAeDataset:
         ]
 
     def test_empty_custom(self):
-        squad = [SquadRecord("Ctx.", "Q?", "a")]
+        squad = [AnswerRow("Ctx.", "Q?", "a")]
         rows = build_ae_dataset(squad, [])
         assert len(rows) == 1
+
+    def test_squad_rows_are_kept_as_parsed(self):
+        squad = parse_squad(json.dumps(squad_payload()))
+        custom = [
+            AnswerRow("Ctx one.", "Q1?", "p1", "Complete one."),
+            AnswerRow("Ctx two.", "Q2?", "p2"),
+        ]
+        rows = build_ae_dataset(squad, custom)
+        assert all(row is record for row, record in zip(rows, squad))
+        # A custom row's complete answer defaults to None.
+        assert rows[len(squad):] == [AnswerRow("Ctx one.", "Q1?", "p1"),
+                                     AnswerRow("Ctx two.", "Q2?", "p2")]
+
+    def test_table_of_a_parsed_squad_file(self, tmp_path):
+        payload = squad_payload()
+        paragraph = payload["data"][0]["paragraphs"][1]
+        paragraph["context"] = 'Two, "quoted"\r\nlines.'
+        paragraph["qas"][0]["answers"].insert(0, {"text": " lead, first", "answer_start": 0})
+        path = tmp_path / "ae.csv"
+        write_answer_table(path, build_ae_dataset(parse_squad(json.dumps(payload)), []), False)
+        assert path.read_bytes() == (
+            b"Context,Question,Answer Phrase\r\n"
+            b"Paragraph one text.,Q1?,A1\r\n"
+            b"Paragraph one text.,Q2?,A2\r\n"
+            b"Paragraph one text.,Q3?,A3\r\n"
+            b'"Two, ""quoted""\r\nlines.",Q4?," lead, first"\r\n'
+            b'"Two, ""quoted""\r\nlines.",Q5?,A5\r\n'
+            b'"Two, ""quoted""\r\nlines.",Q6?,A6\r\n'
+        )
 
     def test_table_row_mapping(self):
         row = build_ae_dataset(
@@ -320,7 +365,7 @@ class TestCsvRoundTrips:
 
     def test_answer_table_excludes_complete_column(self, tmp_path):
         path = tmp_path / "ae.csv"
-        rows = build_ae_dataset([SquadRecord("Ctx.", "Q?", "a")], [])
+        rows = build_ae_dataset([AnswerRow("Ctx.", "Q?", "a")], [])
         write_answer_table(path, rows, include_complete=False)
         with open(path, newline="", encoding="utf-8") as fh:
             parsed = list(csv.reader(fh))

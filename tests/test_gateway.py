@@ -4,6 +4,7 @@ import contextlib
 import gc
 import json
 import socket
+import socketserver
 import ssl
 import statistics
 import sys
@@ -938,6 +939,88 @@ class TestTrickledReply:
             thread.join(5)
             listener.close()
         assert not thread.is_alive()
+
+
+MiB = 1024 * 1024
+OK_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+
+
+class TestReplyFraming:
+    """Replies framed each way HTTP/1.1 allows, and framings the client
+    refuses: a length that is not ASCII digits, or a body past
+    ``MAX_BODY_BYTES`` (``gateway.body_length``). A refused reply is retried
+    like any malformed one, so it ends in BackendUnavailable."""
+
+    @pytest.fixture
+    def raw_backend(self):
+        """Starts a backend that reads each request whole, sends *reply* as it
+        is and closes the connection."""
+        servers = []
+
+        class SendsReply(socketserver.BaseRequestHandler):
+            def handle(self):
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += self.request.recv(65536)
+                head, _, body = request.partition(b"\r\n\r\n")
+                length = int(head.rpartition(b"Content-Length: ")[2])
+                while len(body) < length:
+                    body += self.request.recv(65536)
+                with contextlib.suppress(OSError):  # the client stopped reading
+                    self.request.sendall(self.server.reply)
+
+        def start(reply: bytes) -> str:
+            server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), SendsReply)
+            server.daemon_threads, server.reply = True, reply
+            servers.append(server)
+            serve_in_thread(server)
+            return f"http://127.0.0.1:{server.server_address[1]}/v1/domain"
+
+        yield start
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            pytest.param(OK_HEAD + b"Content-Length: 99999999999999\r\n\r\n{}",
+                         "body exceeds 16777216 bytes", id="huge-length"),
+            pytest.param(OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\nffffffffffffff\r\n{}",
+                         "body exceeds 16777216 bytes", id="huge-chunk"),
+            pytest.param(OK_HEAD + b"Content-Length: 0_2\r\n\r\n{}",
+                         "must be ASCII digits", id="underscore-length"),
+            pytest.param(OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n0x2\r\n{}\r\n0\r\n\r\n",
+                         "must be ASCII digits", id="0x-chunk"),
+            pytest.param(OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n800000\r\n"
+                         + b" " * (8 * MiB) + b"\r\n800001\r\n",
+                         "body exceeds 16777216 bytes", id="chunks-past-the-bound"),
+            pytest.param(OK_HEAD + b"\r\n" + b" " * (16 * MiB + 1),
+                         "body exceeds 16777216 bytes", id="no-length-past-the-bound"),
+            pytest.param(OK_HEAD + b"Content-Length: 20\r\n\r\n{}",
+                         "reply body is 2 bytes, not 20", id="cut-short"),
+        ],
+    )
+    def test_refused_reply_is_backend_unavailable(self, raw_backend, reply, error):
+        url = raw_backend(reply)
+        with pytest.raises(BackendUnavailable, match=f"after 1 attempt.*{error}"):
+            post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=0))
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n"
+                         b"C\r\n{\"domain\": \"\r\n08;name=value\r\nGaming\"}\r\n"
+                         b"0\r\nX-Checksum: 1\r\nX-Other: 2\r\n\r\n", id="chunks-and-trailers"),
+            pytest.param(OK_HEAD + b"\r\n{\"domain\": \"Gaming\"}", id="read-to-its-end"),
+        ],
+    )
+    def test_reply_is_read_whole(self, raw_backend, reply):
+        url = raw_backend(reply)
+        for _ in range(2):
+            assert post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=0)) == {
+                "domain": "Gaming"
+            }
 
 
 class TestCaBundleEnvironment:

@@ -219,6 +219,17 @@ class TestFraming:
         assert status == b"400"
         assert "error" in payload
 
+    def test_content_length_of_thousands_of_digits_is_read(self, stub_server_url):
+        # int() refuses a decimal string of more than 4,300 digits; the body
+        # here is two bytes long, so the request gets its reply.
+        status, payload = raw_post(
+            stub_server_url,
+            "POST /v1/domain HTTP/1.0\r\nContent-Length: " + "0" * 5000 + "2",
+            "{}",
+        )
+        assert status == b"422"
+        assert payload == {"error": "blank or missing 'context'"}
+
     def test_oversized_content_length_413_without_reading_body(self, stub_server_url):
         # Only two bytes of the declared body are ever sent: a server that
         # tried to read it all would wait until the client timed out.
