@@ -21,10 +21,8 @@ from __future__ import annotations
 import codecs
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -121,12 +119,9 @@ class Chunk:
     as ``segment_sentences`` found them; ``context``, their single-space
     join, is the unit of text every downstream step works on.
 
-    What the steps derive from the sentences is computed on first use and
-    cached on the chunk: ``context``, ``sentence_tokens`` (a token list per
-    sentence) and ``content_counts``. ``pipeline.process_chunk`` calls
-    ``release`` when the chunk's steps are done, which keeps only
-    ``content_counts``, the one value ranking reads, so a document's token
-    lists and contexts do not all stay alive until ranking.
+    What the steps and the ranker derive from the sentences, ``context`` and
+    ``sentence_tokens`` (a token list per sentence), is computed on first use
+    and cached on the chunk for as long as the run keeps it.
     """
 
     index: int
@@ -142,19 +137,6 @@ class Chunk:
         the single-space join of the stripped sentences, so together they
         are ``word_tokens(context)``, in order."""
         return tuple(map(word_tokens, self.sentences))
-
-    @cached_property
-    def content_counts(self) -> Counter[str]:
-        """Multiset of the context's ``content_tokens``."""
-        return Counter(content_tokens(chain.from_iterable(self.sentence_tokens)))
-
-    def release(self) -> None:
-        """Compute ``content_counts`` if not yet done, then drop the cached
-        ``context`` and ``sentence_tokens``; a later read computes them
-        again."""
-        self.content_counts
-        vars(self).pop("context", None)
-        vars(self).pop("sentence_tokens", None)
 
     @property
     def word_count(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -19,6 +20,10 @@ from .domains import DOMAINS, parse_domain
 
 DEFAULT_ROW_FLOOR = 750
 QUESTION_JOINER = " | "
+
+# csv.reader reads a NUL, which the table writer writes, from Python 3.11 on.
+# Before, a lone surrogate stands in for it, exactly: UTF-8 never decodes to one.
+_CSV_READS_NUL = sys.version_info >= (3, 11)
 
 QG_HEADER = ["Context", "Questions List"]
 AE_HEADER = ["Context", "Question", "Answer Phrase"]
@@ -206,13 +211,18 @@ def read_csv_table(
     byte offset of the first bad byte in place of a line.
     """
     # newline="" keeps line ends as they are, so a quoted cell keeps "\r\n".
-    reader = csv.reader(read_lines(path, newline=""))
+    lines = read_lines(path, newline="")
+    if not _CSV_READS_NUL:
+        lines = (line.replace("\0", "\ud800") for line in lines)
+    reader = rows = csv.reader(lines)
+    if not _CSV_READS_NUL:
+        rows = ([cell.replace("\ud800", "\0") for cell in row] for row in reader)
     records: list[Record] = []
     try:
-        first = next(reader, None)
+        first = next(rows, None)
         if first != header:
             raise ValueError(f"expected header {header}, got {first}")
-        for cells in reader:
+        for cells in rows:
             if len(cells) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
             records.append(make(*cells))

@@ -527,9 +527,6 @@ STUB_HANDLERS: dict[str, Callable[[dict, DomainLexicon | None, Chunk | None], di
     "answer_phrase": _answer_phrase_stub,
     "complete_answer": _complete_answer_stub,
 }
-# Each step's URL field name, made once: a name formatted per call would be a
-# new string each time, which CPython's type attribute cache keeps alive.
-_URL_FIELDS = {step: f"{step}_url" for step in STUB_HANDLERS}
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +544,7 @@ def _dispatch(
     """The reply to *request* and who sent it: the step's remote backend when
     it has a URL, else its built-in stub, which reads *chunk*, the chunk
     whose context the request carries."""
-    url = getattr(endpoints, _URL_FIELDS[step]) if endpoints else None
+    url = getattr(endpoints, f"{step}_url") if endpoints else None
     if url:
         return post_json(url, request, endpoints), url
     return STUB_HANDLERS[step](request, lexicon, chunk), f"{step} stub"

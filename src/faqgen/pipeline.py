@@ -141,9 +141,8 @@ def process_chunk(chunk: Chunk, cfg: PipelineConfig) -> ChunkOutcome:
 
     Never fails the chunk on backend trouble: generation failure skips the
     whole chunk with a warning, per-question failures drop just that
-    question. Pairs come back ordered by q_index. On return the chunk
-    keeps only the content counts ranking reads (``Chunk.release``), not
-    the context and sentence tokens the built-in stubs shared.
+    question. Pairs come back ordered by q_index. The chunk keeps the
+    sentence tokens the built-in stubs shared, and ranking reads them too.
     """
     domain, warnings = chunk_domain(chunk, cfg)
 
@@ -175,7 +174,6 @@ def process_chunk(chunk: Chunk, cfg: PipelineConfig) -> ChunkOutcome:
             )
             continue
         pairs.append(QaPair(question=question, phrase=phrase, answer=answer))
-    chunk.release()
     return ChunkOutcome(domain, pairs, warnings)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping
 
 from .chunker import content_tokens, word_tokens
@@ -95,18 +96,19 @@ def rank(pairs: list[tuple[QaPair, Chunk]]) -> list[ScoredFaq]:
       share, minus one per full 200 code points of the QA text; it is 0
       when they share none, and otherwise may be negative.
 
-    Descending total score; exact ties resolve by (chunk_index, q_index)
-    ascending. Ranks are assigned 1..N with no gaps.
+    A chunk's context is counted once, from the ``sentence_tokens`` it
+    keeps, for all of its pairs. Descending total score; exact ties resolve
+    by (chunk_index, q_index) ascending. Ranks are assigned 1..N with no gaps.
     """
-    # Pairs of one chunk share its prepared context, made from the counts the
-    # chunk keeps; equal chunks have equal contexts, so keying by the chunk
-    # (not its index) is exact.
+    # Equal chunks have equal contexts, so keying by the chunk (not its
+    # index) is exact.
     contexts: dict[Chunk, tuple[Mapping[str, int], int]] = {}
     rows: list[tuple[QaPair, float, int]] = []
     for pair, chunk in pairs:
         context = contexts.get(chunk)
         if context is None:
-            context = contexts[chunk] = _prepared(chunk.content_counts)
+            tokens = chain.from_iterable(chunk.sentence_tokens)
+            context = contexts[chunk] = _prepared(Counter(content_tokens(tokens)))
         qa_text = f"{pair.question.text} {pair.answer.text}"
         qa = _prepared(Counter(content_tokens(word_tokens(qa_text))))
         rows.append((pair, *_scores(qa_text, qa, context)))

@@ -3,7 +3,6 @@ from __future__ import annotations
 import codecs
 import json
 import sys
-from collections import Counter
 from itertools import chain
 
 import pytest
@@ -27,7 +26,6 @@ from oracles import (
     oracle_chunk_sizes,
     oracle_plain_tokens,
     oracle_sentences,
-    oracle_tokens,
     oracle_word_count,
 )
 
@@ -108,7 +106,6 @@ class TestWordTokens:
         chunk = Chunk(index=0, sentences=tuple(t.strip() for t in texts if t.strip()))
         expected = word_tokens(" ".join(chunk.sentences))
         assert list(chain.from_iterable(chunk.sentence_tokens)) == expected
-        assert chunk.content_counts == Counter(oracle_tokens(chunk.context))
 
 
 class TestSegmentSentences:

@@ -525,6 +525,33 @@ class TestCsvWriter:
             assert path.read_bytes() == oracle_table(header, expected)
 
 
+# CELL_TEXT with NUL on every Python: the writer writes a NUL as it is, and
+# the readers read it back.
+READ_BACK_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+class TestCsvReadBack:
+    @example(rows=[AnswerRow("Cats\0 sleep.", '"\0"', " lead,\r\n\0", "\0")])
+    @given(st.lists(st.builds(AnswerRow, READ_BACK_TEXT.filter(bool), READ_BACK_TEXT.filter(bool),
+                              READ_BACK_TEXT.filter(bool), st.none() | READ_BACK_TEXT.filter(bool)),
+                    max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_answer_table_reads_back(self, table_dir, rows):
+        path = table_dir / "custom.csv"
+        write_answer_table(path, rows, include_complete=True)
+        assert read_custom_table(path) == rows
+
+    @example(rows=[QgRow("\0 lead,\r", ('"\0"', " \n")), QgRow("", ("",))])
+    @given(st.lists(st.builds(QgRow, READ_BACK_TEXT, st.lists(
+        READ_BACK_TEXT.map(lambda text: text.replace("|", "")), min_size=1, max_size=3
+    ).map(tuple)), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_qg_table_reads_back(self, table_dir, rows):
+        path = table_dir / "qg.csv"
+        write_qg_table(path, rows)
+        assert read_qg_table(path) == rows
+
+
 class TestNaming:
     def test_domain_slug(self):
         assert domain_slug("Arts and Culture") == "arts_and_culture"

@@ -95,6 +95,19 @@ class TestLoadLexicon:
         path.write_bytes(codecs.BOM_UTF8 + packaged)
         assert load_lexicon(path) == default_lexicon()
 
+    def test_missing_domain_rejected(self):
+        entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS[1:]}
+        with pytest.raises(LexiconFormatError) as excinfo:
+            DomainLexicon(entries=entries)
+        assert str(excinfo.value) == "lexicon missing domains: ['Arts and Culture']"
+
+    def test_unknown_domain_rejected(self):
+        entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}
+        entries["Astrology"] = entries["Music"]
+        with pytest.raises(LexiconFormatError) as excinfo:
+            DomainLexicon(entries=entries)
+        assert str(excinfo.value) == "lexicon has unknown domains: ['Astrology']"
+
     def test_too_few_terms_rejected(self):
         entries = {domain: frozenset({f"t{i}" for i in range(12)}) for domain in DOMAINS}
         entries["Music"] = frozenset({"melody"})

@@ -444,6 +444,11 @@ class TestRemoteAnswerPhrase:
         phrase = extract_answer_phrase(chunk_of("A context sentence."), question, endpoints)
         assert phrase.text == "tensions between states"
 
+    def test_blank_chunk_is_refused(self):
+        question = GeneratedQuestion(chunk_index=0, q_index=0, text="What caused it?")
+        with pytest.raises(ValueError, match="^context must be non-empty$"):
+            extract_answer_phrase(Chunk(index=0, sentences=()), question)
+
     def test_blank_phrase_is_empty_generation(self, canned_backend):
         url, _ = canned_backend({"/v1/answer_phrase": [(200, {"answer_phrase": "  "})]})
         endpoints = BackendEndpointSet(
@@ -1133,6 +1138,17 @@ class TestProxyEnvironment:
         assert reply == {"domain": "Music"}
         assert backend.requests == [("/v1/domain", {"context": "x"})]
         assert proxy.requests == []
+
+    def test_proxy_that_is_not_plain_http_is_refused(self, monkeypatch, request):
+        gateway._resolve.cache_clear()
+        request.addfinalizer(gateway._resolve.cache_clear)
+        set_proxy_environment(monkeypatch, "https://proxy.invalid:3128")
+        url = "http://tls-proxy.invalid/v1/domain"
+        with pytest.raises(BackendUnavailable) as excinfo:
+            post_json(url, {"context": "x"}, BackendEndpointSet(max_retries=0))
+        assert str(excinfo.value) == (
+            f"{url} cannot be used: not a plain-HTTP proxy: 'https://proxy.invalid:3128'"
+        )
 
     @pytest.mark.parametrize("scheme,request_line", [
         ("http", "POST http://credentials.invalid/v1/domain"),

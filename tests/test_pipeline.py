@@ -1,25 +1,26 @@
 from __future__ import annotations
 
-import gc
 import json
 import re
 import time
-from collections import Counter
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faqgen
 import faqgen.chunker
 import faqgen.gateway
 import faqgen.pipeline
+from conftest import FIXTURES
 from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, segment_sentences
 from faqgen.domains import DOMAINS, load_lexicon
-from faqgen.gateway import BackendEndpointSet
+from faqgen.gateway import STUB_HANDLERS, BackendEndpointSet, BackendUnavailable, RequestRejected
 from faqgen.pipeline import PipelineConfig, chunk_domain, process_chunk, run
 from faqgen.ranker import rank
-from oracles import oracle_tokens
 
 THREE_SENTENCES = "Cats sleep daily. Dogs bark loudly. Birds fly south."
 
@@ -207,20 +208,6 @@ class TestRun:
         expected = segment_sentences(fixture_document_text) + questions * 2 + qa_texts
         assert sorted(tokenized) == sorted(expected)
 
-    def test_sentence_tokens_do_not_outlive_process_chunk(self):
-        chunk = make_chunk(THREE_SENTENCES)
-        outcome = process_chunk(chunk, stub_config())
-        assert outcome.pairs
-        # Ranking reads the counts; no token list stays reachable.
-        assert vars(chunk)["content_counts"] == Counter(oracle_tokens(chunk.context))
-        seen, stack = set(), [chunk]
-        while stack:
-            obj = stack.pop()
-            if id(obj) not in seen:
-                seen.add(id(obj))
-                assert not isinstance(obj, list), obj
-                stack.extend(r for r in gc.get_referents(obj) if not isinstance(r, type))
-
     def test_worker_count_does_not_change_output(self, fixture_document_text):
         doc = SourceDocument.from_text("fixture", fixture_document_text)
         payloads = {
@@ -270,6 +257,55 @@ class TestRun:
         chunk_count = len(build_chunks(doc, config.chunk_size_words))
         assert chunk_count > 2
         assert [w.chunk_index for w in fallbacks] == list(range(chunk_count))
+
+
+STEPS = ("domain", "questions", "answer_phrase", "complete_answer")
+
+
+def failing_post_json(seed: int):
+    """A replacement for ``gateway.post_json`` whose every outcome is a pure
+    function of *seed*, the step and the request body: the stub server's
+    reply, or one of five failures."""
+
+    def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
+        step = url.rsplit("/", 1)[1]
+        request = json.dumps(payload, sort_keys=True)
+        outcome = zlib.crc32(f"{seed} {step} {request}".encode()) % 12
+        if outcome == 0:
+            raise BackendUnavailable(f"{url} unavailable after 3 attempt(s): HTTP 503")
+        if outcome == 1:
+            raise RequestRejected(f"{url} rejected request: HTTP 400 bad request")
+        if outcome == 2:  # a malformed body: each step's field of the wrong type
+            return {"domain": 7, "questions": "What?", "answer_phrase": [], "answer": None}
+        if outcome == 3:  # a blank generation
+            return {"domain": " ", "questions": [" "], "answer_phrase": "", "answer": "\n"}
+        if outcome == 4:  # a body that is not a JSON object, as post_json reports it
+            raise BackendUnavailable(
+                f"{url} unavailable after 3 attempt(s): response body is not a JSON object"
+            )
+        return STUB_HANDLERS[step](payload, None, None)
+
+    return post_json
+
+
+class TestWorkerCountWithFailingCalls:
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([5, 12, 25]))
+    @settings(max_examples=30, deadline=None)
+    def test_failing_calls_give_the_same_result_for_any_worker_count(self, seed, size):
+        doc = SourceDocument.from_text("fixture", (FIXTURES / "fixture_doc.txt").read_text("utf-8"))
+        endpoints = BackendEndpointSet(
+            **{f"{step}_url": f"http://backend.invalid/v1/{step}" for step in STEPS}
+        )
+        results = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(faqgen.gateway, "post_json", failing_post_json(seed))
+            for workers in (1, 2, 8):
+                config = stub_config(chunk_size_words=size, worker_count=workers,
+                                     requested_faq_count=3, endpoints=endpoints)
+                result = run(doc, config)
+                warnings = [(w.kind, w.message, w.chunk_index) for w in result.warnings]
+                results[workers] = (result.to_json(), warnings, result.total_generated)
+        assert results[1] == results[2] == results[8]
 
 
 class TestSerialization:

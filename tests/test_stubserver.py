@@ -71,6 +71,14 @@ class TestHealthAndRouting:
         assert "error" in response.json()
         assert requests.get(f"{stub_server_url}/v1/health", timeout=5).status_code == 200
 
+    @pytest.mark.parametrize("body", ["[1]", ""])
+    def test_body_that_is_not_an_object_422(self, stub_server_url, body):
+        status, payload = raw_post(
+            stub_server_url, f"POST /v1/domain HTTP/1.0\r\nContent-Length: {len(body)}", body
+        )
+        assert status == b"422"
+        assert payload == {"error": "request body must be a JSON object"}
+
     @pytest.mark.parametrize(
         "path, body",
         [
