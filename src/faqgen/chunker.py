@@ -73,10 +73,6 @@ class SourceDocument:
     def from_text(cls, doc_id: str, raw_text: str) -> SourceDocument:
         return cls(id=doc_id, raw_text=raw_text)
 
-    @property
-    def word_count(self) -> int:
-        return word_count(self.raw_text)
-
 
 def decode_utf8(data: bytes) -> str:
     """*data*, a file's bytes, as UTF-8 after any leading byte-order mark. A

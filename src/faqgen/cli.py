@@ -20,6 +20,7 @@ from typing import Mapping
 from .chunker import DEFAULT_CHUNK_WORDS, EmptyDocument, SourceDocument, build_chunks, read_lines
 from .datasets import (
     DEFAULT_ROW_FLOOR,
+    AnswerRow,
     build_ac_dataset,
     build_ae_dataset,
     build_qg_datasets,
@@ -75,6 +76,12 @@ def _read_text(path: str) -> str:
 
 def _read_document(path: str) -> SourceDocument:
     return SourceDocument.from_text(Path(path).stem, _read_text(path))
+
+
+def _read_squad(path: str) -> list[AnswerRow]:
+    """The rows of the SQuAD file at *path*, parsed from its bytes as they are."""
+    with _naming(_require_file(path)):
+        return parse_squad(Path(path).read_bytes())
 
 
 @contextmanager
@@ -187,9 +194,7 @@ def _cmd_serve_stub(args: argparse.Namespace, environment: Mapping[str, str]) ->
 
 
 def _cmd_dataset_squad_group(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    text = _read_text(args.squad)
-    with _naming(args.squad):
-        records = parse_squad(text)
+    records = _read_squad(args.squad)
     lexicon = load_lexicon(_require_file(args.lexicon)) if args.lexicon else default_lexicon()
     with _naming(args.squad):
         tables, shortfalls = build_qg_datasets(
@@ -206,9 +211,7 @@ def _cmd_dataset_squad_group(args: argparse.Namespace, environment: Mapping[str,
 
 
 def _cmd_dataset_build_ae(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
-    text = _read_text(args.squad)
-    with _naming(args.squad):
-        records = parse_squad(text)
+    records = _read_squad(args.squad)
     custom = read_custom_table(_require_file(args.custom)) if args.custom else []
     rows = build_ae_dataset(records, custom)
     write_answer_table(args.output, rows, include_complete=False)

@@ -233,13 +233,9 @@ def read_csv_table(
     return records
 
 
-def domain_slug(domain: str) -> str:
-    """Lowercase file-name slug: spaces and commas become underscores."""
-    return "".join("_" if c in " ," else c for c in domain.lower())
-
-
 def qg_filename(domain: str) -> str:
-    return f"qg_{domain_slug(domain)}.csv"
+    """The QG table's file name for *domain*: lower-cased, each space and comma "_"."""
+    return "qg_" + "".join("_" if c in " ," else c for c in domain.lower()) + ".csv"
 
 
 def _csv_line(cells: Iterable[str]) -> str:
@@ -260,15 +256,6 @@ def write_qg_table(path: str | Path, rows: Iterable[QgRow]) -> None:
         fh.write(_csv_line(QG_HEADER))
         for row in rows:
             fh.write(_csv_line((row.context, QUESTION_JOINER.join(row.questions_list))))
-
-
-def read_qg_table(path: str | Path) -> list[QgRow]:
-    return read_csv_table(
-        path,
-        QG_HEADER,
-        lambda context, cell: QgRow(context, tuple(cell.split(QUESTION_JOINER))),
-        lambda detail: MalformedDataset(str(path), detail),
-    )
 
 
 def write_answer_table(

@@ -195,11 +195,12 @@ def body_length(text: str, base: int = 10, read: int = 0) -> int:
 
 
 def _status_line(line: str) -> tuple[int, bool]:
-    """A reply's status, and whether the reply is HTTP/1.0."""
+    """A reply's status, three ASCII digits, and whether the reply is HTTP/1.0."""
     words = line.split(None, 2)
-    if len(words) < 2 or not words[0].startswith("HTTP/1.") or len(words[1]) != 3:
+    status = words[1] if len(words) >= 2 and words[0].startswith("HTTP/1.") else ""
+    if len(status) != 3 or not status.isdecimal():  # int() would also take "1_0" and "+10"
         raise ProtocolError(f"not a status line: {line[:80]!r}")
-    return int(words[1]), words[0] == "HTTP/1.0"
+    return int(status), words[0] == "HTTP/1.0"
 
 
 class _Connection:
@@ -322,8 +323,9 @@ def _read_exact(file: io.BufferedReader, size: int) -> bytes:
 
 def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple[int, bytes]:
     """Send *request* over *connection* in one write and read the whole reply,
-    its status and body, reopening once a kept-alive connection found closed
-    first. A failure, a status below 200, Connection: close and HTTP/1.0 close it."""
+    its final status and body past any interim (1xx) reply, reopening once a
+    kept-alive connection found closed first. A failure, Connection: close and
+    HTTP/1.0 close it."""
     try:
         for last in (False, True) if connection.sock else (True,):
             try:
@@ -332,8 +334,8 @@ def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple
                 connection.file.raw.deadline = deadline
                 connection.sock.settimeout(_time_left(deadline))
                 connection.sock.sendall(request)
-                while (head := read_head(connection.file, _status_line))[0][0] == 100:
-                    pass  # 100 Continue
+                while (head := read_head(connection.file, _status_line))[0][0] < 200:
+                    pass  # an interim reply: 100 Continue, 103 Early Hints, ...
                 break
             except ConnectionError:
                 if last:
@@ -341,8 +343,6 @@ def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple
                 connection.close()
         (status, close), headers = head
         file = connection.file
-        if status < 200:
-            raise ProtocolError(f"HTTP {status} is not a final reply")
         if status in (204, 304):
             data = b""
         elif headers.get("transfer-encoding", "").lower() == "chunked":
@@ -388,9 +388,9 @@ def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
     """POST *payload* as JSON, in one write over this thread's kept-alive
     connection to *url*'s origin, and return the reply's JSON object.
 
-    Connection errors, timeouts, malformed replies (an informational status
-    alone too), 5xx responses and bodies that are not a JSON object are
-    retried up to ``max_retries`` extra times, with backoff. Any other status
+    Interim (1xx) replies are skipped. Connection errors, timeouts, malformed
+    replies, 5xx responses and bodies that are not a JSON object are retried
+    up to ``max_retries`` extra times, with backoff. Any other final status
     but 200 raises :class:`RequestRejected` at once, a redirect (3xx) too.
     ``timeout_ms`` bounds the whole call: each socket operation waits at most
     for the time left, and no attempt or sleep starts that it cannot hold

@@ -60,6 +60,8 @@ class BindFailure(OSError):
 
 
 class StubBackendServer(socketserver.ThreadingTCPServer):
+    """The stub backend, bound to *address* (host, port) when constructed."""
+
     allow_reuse_address = True
     daemon_threads = True
 
@@ -157,16 +159,10 @@ class _StubHandler(socketserver.BaseRequestHandler):
         return not close
 
 
-def create_server(host: str, port: int) -> StubBackendServer:
-    """Build a ready-to-serve stub backend bound to (host, port), answering
-    with the packaged lexicon."""
-    return StubBackendServer((host, port))
-
-
 def serve_stub(host: str, port: int) -> None:
     """Run the stub backend on (host, port) until interrupted, printing the
     bound address (with the port the OS chose for port 0) once it is bound."""
-    with create_server(host, port) as server:
+    with StubBackendServer((host, port)) as server:
         bound_host, bound_port = server.server_address[:2]
         print(f"stub backend listening on {bound_host}:{bound_port}", flush=True)
         with contextlib.suppress(KeyboardInterrupt):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import faqgen.chunker
-from faqgen.stubserver import create_server
+from faqgen.stubserver import StubBackendServer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,7 +51,7 @@ def tokenized(monkeypatch) -> list[str]:
 @pytest.fixture(scope="session")
 def stub_server_url():
     """A live stub backend on an ephemeral port (stateless, shared per session)."""
-    server = create_server("127.0.0.1", 0)
+    server = StubBackendServer(("127.0.0.1", 0))
     serve_in_thread(server)
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"

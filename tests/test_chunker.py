@@ -274,7 +274,8 @@ class TestBuildChunks:
 class TestSourceDocument:
     def test_from_text_counts_words(self):
         doc = SourceDocument.from_text("x", "one two three")
-        assert doc.word_count == 3
+        assert (doc.id, doc.raw_text) == ("x", "one two three")
+        assert word_count(doc.raw_text) == 3
 
 
 class TestReadLines:

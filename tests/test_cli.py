@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import faqgen
 from faqgen.chunker import SourceDocument
 from faqgen.cli import run_cli
+from faqgen.datasets import MalformedDataset, parse_squad
 from faqgen.pipeline import PipelineConfig, run as run_pipeline
 
 
@@ -483,6 +484,19 @@ class TestMalformedInputExits1:
         assert one_error_line(capsys.readouterr().err).startswith(
             f"{sheet}: line 1: expected header ["
         )
+
+    @pytest.mark.parametrize("command, output", [("squad-group", "--output-dir"),
+                                                 ("build-ae", "--output")])
+    def test_squad_json_error_counts_the_files_own_characters(self, tmp_path, capsys,
+                                                                  command, output):
+        # The position counts each "\r" of the file's CRLF line ends.
+        squad = tmp_path / "squad.json"
+        squad.write_bytes(b'{"data":\r\n [1,\r\n 2 x]}')
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(squad.read_bytes())
+        argv = ["dataset", command, "--squad", str(squad), output, str(tmp_path / "out")]
+        assert run_cli(argv, {}) == 1
+        assert capsys.readouterr().err == f"error: {squad}: {excinfo.value}\n"
 
     def test_build_ae_non_utf8_squad_names_file_and_offset(self, tmp_path, capsys):
         squad = tmp_path / "squad.json"

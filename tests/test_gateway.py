@@ -39,7 +39,7 @@ from faqgen.gateway import (
     post_json,
 )
 from faqgen.pipeline import FaqResult, PipelineConfig, run
-from faqgen.stubserver import create_server
+from faqgen.stubserver import StubBackendServer
 from oracles import (
     oracle_domain,
     oracle_sentences,
@@ -506,10 +506,19 @@ def serving(server):
 LONG_CONTEXT = " ".join(f"Topic{i} is sentence number {i} here." for i in range(400))
 
 
+# Interim replies sent before the 200 on a path's connection.
+INTERIM_REPLIES = {
+    "/v1/processing": b"HTTP/1.1 102 Processing\r\n\r\n",
+    "/v1/hints": b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n",
+    "/v1/interim": b"HTTP/1.1 102 Processing\r\n\r\n",
+}
+
+
 class AnswersAnyPath(BaseHTTPRequestHandler):
     """Answers every POST with 200 ``{"domain": <path>}`` on a kept-alive
-    connection: after 0.3 s for /v1/slow, and after a lone 102 status for
-    /v1/interim. Records each request's client port in ``server.ports``."""
+    connection, after the path's interim reply (``INTERIM_REPLIES``), and 0.3 s
+    late for /v1/slow and /v1/interim. Records each request's client port in
+    ``server.ports``."""
 
     protocol_version = "HTTP/1.1"
 
@@ -519,10 +528,9 @@ class AnswersAnyPath(BaseHTTPRequestHandler):
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self.server.ports.append(self.client_address[1])
-        if self.path == "/v1/slow":
+        self.wfile.write(INTERIM_REPLIES.get(self.path, b""))
+        if self.path in ("/v1/slow", "/v1/interim"):
             time.sleep(0.3)
-        elif self.path == "/v1/interim":
-            self.wfile.write(b"HTTP/1.1 102 Processing\r\n\r\n")
         data = json.dumps({"domain": self.path}).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(data)))
@@ -554,7 +562,7 @@ class TestTransport:
         ],
     )
     def test_calls_from_one_thread_share_one_connection(self, step, payload):
-        server = create_server("127.0.0.1", 0)
+        server = StubBackendServer(("127.0.0.1", 0))
         ports = []
         accept = server.get_request
 
@@ -650,8 +658,8 @@ class TestTransport:
 
     @pytest.mark.parametrize("path", ["/v1/slow", "/v1/interim"])
     def test_failed_exchange_drops_the_kept_alive_connection(self, own_routes, path):
-        # A reply that comes too late, or an interim (1xx) status alone, fails
-        # the call; what the server sends after it must not answer the next.
+        # A reply that comes too late, after an interim (1xx) reply or not,
+        # fails the call; what the server sends after it must not answer the next.
         server = any_path_server()
         with serving(server) as url:
             healthy = [post_json(f"{url}/v1/domain", {}, BackendEndpointSet())]
@@ -660,6 +668,17 @@ class TestTransport:
             healthy.append(post_json(f"{url}/v1/domain", {}, BackendEndpointSet()))
         assert healthy == [{"domain": "/v1/domain"}] * 2
         assert len(set(server.ports)) == 2
+
+    @pytest.mark.parametrize("path", ["/v1/processing", "/v1/hints"])
+    def test_interim_reply_is_skipped(self, own_routes, path):
+        # 102 Processing and 103 Early Hints (with its Link header) come before
+        # the final reply: each call takes one attempt, on one kept-alive connection.
+        server = any_path_server()
+        with serving(server) as url:
+            replies = [post_json(f"{url}{path}", {}, BackendEndpointSet()) for _ in range(2)]
+        assert replies == [{"domain": path}] * 2
+        assert len(server.ports) == 2
+        assert len(set(server.ports)) == 1
 
     def test_thread_closes_its_connections_when_it_ends(self, stub_server_url):
         def post():
@@ -952,9 +971,10 @@ OK_HEAD = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
 
 class TestReplyFraming:
     """Replies framed each way HTTP/1.1 allows, and framings the client
-    refuses: a length that is not ASCII digits, or a body past
-    ``MAX_BODY_BYTES`` (``gateway.body_length``). A refused reply is retried
-    like any malformed one, so it ends in BackendUnavailable."""
+    refuses: a status that is not three ASCII digits, a length that is not
+    ASCII digits, or a body past ``MAX_BODY_BYTES`` (``gateway.body_length``).
+    A refused reply is retried like any malformed one, so it ends in
+    BackendUnavailable."""
 
     @pytest.fixture
     def raw_backend(self):
@@ -1004,6 +1024,8 @@ class TestReplyFraming:
                          "body exceeds 16777216 bytes", id="no-length-past-the-bound"),
             pytest.param(OK_HEAD + b"Content-Length: 20\r\n\r\n{}",
                          "reply body is 2 bytes, not 20", id="cut-short"),
+            pytest.param(b"HTTP/1.1 1_0 Odd\r\n\r\n", "not a status line", id="underscore-status"),
+            pytest.param(b"HTTP/1.1 +99 Odd\r\n\r\n", "not a status line", id="signed-status"),
         ],
     )
     def test_refused_reply_is_backend_unavailable(self, raw_backend, reply, error):
@@ -1061,7 +1083,7 @@ class TestTlsRoundTrip:
         """Serves the stub over TLS; yields its port and the client address
         of each connection it accepted."""
         set_proxy_environment(monkeypatch, "")
-        server = create_server("127.0.0.1", 0)
+        server = StubBackendServer(("127.0.0.1", 0))
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(TLS / "server.pem", TLS / "server.key")
         server.socket = context.wrap_socket(server.socket, server_side=True)

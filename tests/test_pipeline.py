@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import collections
 import json
 import re
+import socketserver
+import threading
 import time
 import zlib
 from dataclasses import replace
@@ -15,7 +18,7 @@ import faqgen
 import faqgen.chunker
 import faqgen.gateway
 import faqgen.pipeline
-from conftest import FIXTURES
+from conftest import FIXTURES, serve_in_thread
 from faqgen.chunker import Chunk, EmptyDocument, SourceDocument, build_chunks, segment_sentences
 from faqgen.domains import DOMAINS, load_lexicon
 from faqgen.gateway import STUB_HANDLERS, BackendEndpointSet, BackendUnavailable, RequestRejected
@@ -260,6 +263,14 @@ class TestRun:
 
 
 STEPS = ("domain", "questions", "answer_phrase", "complete_answer")
+# A malformed body (each step's field of the wrong type), and a blank generation.
+MALFORMED_REPLY = {"domain": 7, "questions": "What?", "answer_phrase": [], "answer": None}
+BLANK_REPLY = {"domain": " ", "questions": [" "], "answer_phrase": "", "answer": "\n"}
+
+
+def outcome_of(seed: int, step: str, payload: dict) -> int:
+    """The outcome, 0 to 11, of a call: a CRC of *seed*, the step and the request."""
+    return zlib.crc32(f"{seed} {step} {json.dumps(payload, sort_keys=True)}".encode()) % 12
 
 
 def failing_post_json(seed: int):
@@ -269,16 +280,15 @@ def failing_post_json(seed: int):
 
     def post_json(url: str, payload: dict, endpoints: BackendEndpointSet) -> dict:
         step = url.rsplit("/", 1)[1]
-        request = json.dumps(payload, sort_keys=True)
-        outcome = zlib.crc32(f"{seed} {step} {request}".encode()) % 12
+        outcome = outcome_of(seed, step, payload)
         if outcome == 0:
             raise BackendUnavailable(f"{url} unavailable after 3 attempt(s): HTTP 503")
         if outcome == 1:
             raise RequestRejected(f"{url} rejected request: HTTP 400 bad request")
-        if outcome == 2:  # a malformed body: each step's field of the wrong type
-            return {"domain": 7, "questions": "What?", "answer_phrase": [], "answer": None}
-        if outcome == 3:  # a blank generation
-            return {"domain": " ", "questions": [" "], "answer_phrase": "", "answer": "\n"}
+        if outcome == 2:
+            return MALFORMED_REPLY
+        if outcome == 3:
+            return BLANK_REPLY
         if outcome == 4:  # a body that is not a JSON object, as post_json reports it
             raise BackendUnavailable(
                 f"{url} unavailable after 3 attempt(s): response body is not a JSON object"
@@ -300,6 +310,88 @@ class TestWorkerCountWithFailingCalls:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(faqgen.gateway, "post_json", failing_post_json(seed))
             for workers in (1, 2, 8):
+                config = stub_config(chunk_size_words=size, worker_count=workers,
+                                     requested_faq_count=3, endpoints=endpoints)
+                result = run(doc, config)
+                warnings = [(w.kind, w.message, w.chunk_index) for w in result.warnings]
+                results[workers] = (result.to_json(), warnings, result.total_generated)
+        assert results[1] == results[2] == results[8]
+
+
+class FailingBackend(socketserver.ThreadingTCPServer):
+    """A socket backend that serves the outcomes of ``failing_post_json`` for
+    ``seed``, keyed by the same CRC, as HTTP replies: the stub server's reply,
+    400, 503 every time, a malformed body, a blank generation, a body that is
+    not an object, and 503 on a request's first attempt, then the stub's
+    reply. ``attempts`` counts the attempts per step and request body."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _FailingHandler)
+        self.seed, self.attempts, self.lock = 0, collections.Counter(), threading.Lock()
+
+    def reply(self, step: str, body: bytes) -> tuple[int, bytes]:
+        payload = json.loads(body)
+        outcome = outcome_of(self.seed, step, payload)
+        with self.lock:
+            self.attempts[step, body] += 1
+            first = self.attempts[step, body] == 1
+        if outcome == 0 or (outcome == 5 and first):
+            return 503, b'{"error": "overloaded"}'
+        if outcome == 1:
+            return 400, b'{"error": "bad request"}'
+        if outcome == 2:
+            return 200, json.dumps(MALFORMED_REPLY).encode()
+        if outcome == 3:
+            return 200, json.dumps(BLANK_REPLY).encode()
+        if outcome == 4:
+            return 200, b"[1]"
+        return 200, json.dumps(STUB_HANDLERS[step](payload, None, None)).encode()
+
+
+class _FailingHandler(socketserver.StreamRequestHandler):
+    """Reads each request of a kept-alive connection by hand and replies in one write."""
+
+    def handle(self) -> None:
+        while request_line := self.rfile.readline():
+            length = 0
+            while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            step = request_line.split()[1].decode().rsplit("/", 1)[1]
+            status, data = self.server.reply(step, self.rfile.read(length))
+            self.wfile.write(b"HTTP/1.1 %d Reply\r\nContent-Length: %d\r\n\r\n%b"
+                             % (status, len(data), data))
+
+
+@pytest.fixture(scope="module")
+def failing_backend():
+    server = FailingBackend()
+    serve_in_thread(server)
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestWorkerCountWithFailingReplies:
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([5, 12, 25]))
+    @settings(max_examples=30, deadline=None)
+    def test_failing_replies_give_the_same_result_for_any_worker_count(
+        self, failing_backend, seed, size
+    ):
+        doc = SourceDocument.from_text("fixture", (FIXTURES / "fixture_doc.txt").read_text("utf-8"))
+        url = f"http://127.0.0.1:{failing_backend.server_address[1]}"
+        endpoints = BackendEndpointSet(**{f"{step}_url": f"{url}/v1/{step}" for step in STEPS})
+        failing_backend.seed = seed
+        results = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(faqgen.gateway, "RETRY_BASE_DELAY_SECONDS", 0.001)
+            # This thread's connections close when the patch is undone.
+            patch.setattr(faqgen.gateway, "_thread", threading.local())
+            for workers in (1, 2, 8):
+                failing_backend.attempts.clear()
                 config = stub_config(chunk_size_words=size, worker_count=workers,
                                      requested_faq_count=3, endpoints=endpoints)
                 result = run(doc, config)

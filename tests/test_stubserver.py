@@ -25,7 +25,7 @@ from faqgen.gateway import (
     generate_questions,
 )
 from faqgen.pipeline import PipelineConfig, run
-from faqgen.stubserver import MAX_BODY_BYTES, BindFailure, create_server
+from faqgen.stubserver import MAX_BODY_BYTES, BindFailure, StubBackendServer
 
 CONTEXT = "Cats sleep daily. Dogs bark loudly. Birds fly south."
 # The in-process stubs read the chunk whose context a request carries.
@@ -368,7 +368,7 @@ class TestRequestDeadline:
         """A server of its own with a 0.2 s bound; yields its URL and what it
         printed to stderr."""
         monkeypatch.setattr(stubserver, "REQUEST_SECONDS", 0.2)
-        server = create_server("127.0.0.1", 0)
+        server = StubBackendServer(("127.0.0.1", 0))
         serve_in_thread(server)
         err = io.StringIO()
         try:
@@ -470,7 +470,7 @@ class TestBind:
     def test_bind_failure(self, stub_server_url):
         port = int(stub_server_url.rsplit(":", 1)[1])
         with pytest.raises(BindFailure):
-            create_server("127.0.0.1", port)
+            StubBackendServer(("127.0.0.1", port))
 
 
 # Every status the stub server sends, as the README lists them.
@@ -549,7 +549,7 @@ class TestHttpErrors:
         request = b"POST /v1/domain HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
         # A server of its own: server_close() joins its handler threads, so
         # all they print has reached stderr before it is read.
-        server = create_server("127.0.0.1", 0)
+        server = StubBackendServer(("127.0.0.1", 0))
         serve_in_thread(server)
         url = f"http://127.0.0.1:{server.server_address[1]}"
         err = io.StringIO()
