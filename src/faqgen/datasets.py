@@ -3,13 +3,14 @@
 Question-generation tables group questions that share a byte-identical
 context and are split per domain; answer tables merge SQuAD rows with
 custom rows, with or without the completed-answer column. A table is written
-a row at a time in the ``csv`` module's default dialect (``_csv_line``).
+a row at a time in the ``csv`` module's default dialect (``_csv_cell``).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,13 +86,20 @@ class ShortfallEntry:
     floor: int
 
 
-def _squad_text(value: object, node: str, key: str) -> str:
-    """*value*, the SQuAD text at JSON path *node*.*key*, once it is text
-    (``is_text``) that is not blank."""
+def _squad_path(key: str, *indices: int) -> str:
+    """The JSON path of the SQuAD node at article, paragraph and question
+    *indices*, or of its member *key*."""
+    path = ".".join(f"{name}[{i}]" for name, i in zip(("data", "paragraphs", "qas"), indices))
+    return f"{path}.{key}" if key else path
+
+
+def _squad_text(value: object, known_text: bool, key: str, *indices: int) -> str:
+    """*value*, the SQuAD text at ``_squad_path(key, *indices)``, once it is
+    text (``is_text``, or *known_text*) that is not blank."""
     if not isinstance(value, str) or not value.strip():
-        raise MalformedDataset(f"{node}.{key}", "missing or blank")
-    if not is_text(value):
-        raise MalformedDataset(f"{node}.{key}", "not UTF-8 text")
+        raise MalformedDataset(_squad_path(key, *indices), "missing or blank")
+    if not (known_text or is_text(value)):
+        raise MalformedDataset(_squad_path(key, *indices), "not UTF-8 text")
     return value
 
 
@@ -114,31 +122,31 @@ def parse_squad(raw: bytes | str) -> list[AnswerRow]:
         raise MalformedDataset("$", "nested too deeply to parse") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("data"), list):
         raise MalformedDataset("data", "missing or not a list")
+    # A string UTF-8 cannot encode comes from such text or from the escape of
+    # a surrogate ("\\ud800" to "\\udfff"); with neither, every string is text.
+    known_text = is_text(raw) and not re.search(r"\\u[dD][89a-fA-F]", raw)
 
     records: list[AnswerRow] = []
     for ai, article in enumerate(payload["data"]):
-        base = f"data[{ai}]"
         if not isinstance(article, dict) or not isinstance(article.get("paragraphs"), list):
-            raise MalformedDataset(f"{base}.paragraphs", "missing or not a list")
+            raise MalformedDataset(_squad_path("paragraphs", ai), "missing or not a list")
         for pi, paragraph in enumerate(article["paragraphs"]):
-            ppath = f"{base}.paragraphs[{pi}]"
             if not isinstance(paragraph, dict):
-                raise MalformedDataset(ppath, "not an object")
-            context = _squad_text(paragraph.get("context"), ppath, "context")
+                raise MalformedDataset(_squad_path("", ai, pi), "not an object")
+            context = _squad_text(paragraph.get("context"), known_text, "context", ai, pi)
             qas = paragraph.get("qas")
             if not isinstance(qas, list):
-                raise MalformedDataset(f"{ppath}.qas", "missing or not a list")
+                raise MalformedDataset(_squad_path("qas", ai, pi), "missing or not a list")
             for qi, qa in enumerate(qas):
-                qpath = f"{ppath}.qas[{qi}]"
                 if not isinstance(qa, dict):
-                    raise MalformedDataset(qpath, "not an object")
-                question = _squad_text(qa.get("question"), qpath, "question")
+                    raise MalformedDataset(_squad_path("", ai, pi, qi), "not an object")
+                question = _squad_text(qa.get("question"), known_text, "question", ai, pi, qi)
                 answers = qa.get("answers")
                 if not isinstance(answers, list) or not answers:
-                    raise MalformedDataset(f"{qpath}.answers", "missing or empty")
+                    raise MalformedDataset(_squad_path("answers", ai, pi, qi), "missing or empty")
                 first = answers[0]
                 text = first.get("text") if isinstance(first, dict) else None
-                text = _squad_text(text, qpath, "answers[0].text")
+                text = _squad_text(text, known_text, "answers[0].text", ai, pi, qi)
                 records.append(AnswerRow(context, question, text))
     return records
 
@@ -238,24 +246,26 @@ def qg_filename(domain: str) -> str:
     return "qg_" + "".join("_" if c in " ," else c for c in domain.lower()) + ".csv"
 
 
+def _csv_cell(cell: str) -> str:
+    """*cell* as the ``csv`` module's default ``excel`` dialect writes it: a
+    cell that holds '"', ',', "\\r" or "\\n" is quoted, each '"' doubled; any
+    other cell is written as it is, a NUL too (as the module does from Python
+    3.11 on). A line joins its cells with ',' and ends with "\\r\\n"."""
+    if '"' in cell or "," in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_line(cells: Iterable[str]) -> str:
-    """*cells*, two or more, as one line of the ``csv`` module's default
-    ``excel`` dialect: a cell that holds '"', ',', "\\r" or "\\n" is quoted,
-    each '"' doubled; any other cell is written as it is, a NUL too (as the
-    module does from Python 3.11 on); ',' joins the cells and "\\r\\n" ends
-    the line."""
-    return ",".join(
-        '"' + cell.replace('"', '""') + '"'
-        if '"' in cell or "," in cell or "\r" in cell or "\n" in cell else cell
-        for cell in cells
-    ) + "\r\n"
+    return ",".join(map(_csv_cell, cells)) + "\r\n"
 
 
 def write_qg_table(path: str | Path, rows: Iterable[QgRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(QG_HEADER))
         for row in rows:
-            fh.write(_csv_line((row.context, QUESTION_JOINER.join(row.questions_list))))
+            questions = QUESTION_JOINER.join(row.questions_list)
+            fh.write(f"{_csv_cell(row.context)},{_csv_cell(questions)}\r\n")
 
 
 def write_answer_table(
@@ -264,10 +274,11 @@ def write_answer_table(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_csv_line(AC_HEADER if include_complete else AE_HEADER))
         for row in rows:
-            cells = [row.context, row.question, row.answer_phrase]
-            if include_complete:
-                cells.append(row.complete_answer or "")
-            fh.write(_csv_line(cells))
+            end = f",{_csv_cell(row.complete_answer or '')}\r\n" if include_complete else "\r\n"
+            fh.write(
+                f"{_csv_cell(row.context)},{_csv_cell(row.question)},"
+                f"{_csv_cell(row.answer_phrase)}{end}"
+            )
 
 
 def read_custom_table(path: str | Path) -> list[AnswerRow]:

@@ -324,8 +324,8 @@ def _read_exact(file: io.BufferedReader, size: int) -> bytes:
 def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple[int, bytes]:
     """Send *request* over *connection* in one write and read the whole reply,
     its final status and body past any interim (1xx) reply, reopening once a
-    kept-alive connection found closed first. A failure, Connection: close and
-    HTTP/1.0 close it."""
+    kept-alive connection found closed before the first reply: after one, the
+    server has the request. A failure, Connection: close and HTTP/1.0 close it."""
     try:
         for last in (False, True) if connection.sock else (True,):
             try:
@@ -334,13 +334,14 @@ def _exchange(connection: _Connection, request: bytes, deadline: float) -> tuple
                 connection.file.raw.deadline = deadline
                 connection.sock.settimeout(_time_left(deadline))
                 connection.sock.sendall(request)
-                while (head := read_head(connection.file, _status_line))[0][0] < 200:
-                    pass  # an interim reply: 100 Continue, 103 Early Hints, ...
+                head = read_head(connection.file, _status_line)
                 break
             except ConnectionError:
                 if last:
                     raise
                 connection.close()
+        while head[0][0] < 200:  # an interim reply: 100 Continue, 103 Early Hints, ...
+            head = read_head(connection.file, _status_line)
         (status, close), headers = head
         file = connection.file
         if status in (204, 304):

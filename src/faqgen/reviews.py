@@ -2,13 +2,14 @@
 
 Each record carries five 0-10 scores for one (document, reviewer) pair.
 Domain averages are rounded half away from zero; reviewer agreement is the
-population standard deviation of per-reviewer average scores.
+population standard deviation of per-reviewer average scores, correctly rounded.
 """
 
 from __future__ import annotations
 
-import statistics
+import sys
 from dataclasses import dataclass
+from math import isqrt, ldexp
 from pathlib import Path
 from typing import Sequence
 
@@ -98,15 +99,32 @@ def _averages(rows: list[ReviewRecord]) -> tuple[int, ...]:
     )
 
 
+def _pstdev(means: list[float]) -> float:
+    """The correctly rounded population standard deviation of *means*: their
+    exact variance, over their largest denominator, rooted in integers."""
+    ratios = [mean.as_integer_ratio() for mean in means]
+    scale = max(denominator for _, denominator in ratios)
+    values = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    n, total = len(values), sum(values)
+    num, den = n * sum(v * v for v in values) - total * total, (n * scale) ** 2
+    # num/den times 4**bits has 2 * mant_dig + 3 bits or so (scores are 0-10,
+    # so bits > 0), and its integer root about mant_dig + 2: that root with
+    # its last bit set when inexact (round to odd) rounds once to the float.
+    bits = (den.bit_length() - num.bit_length() + 2 * sys.float_info.mant_dig + 4) // 2
+    num <<= 2 * bits
+    root = isqrt(num // den)
+    return ldexp(root | (root * root * den != num), -bits)
+
+
 def _stddevs(rows: list[ReviewRecord]) -> tuple[float, ...]:
     by_reviewer: dict[str, list[ReviewRecord]] = {}
     for record in rows:
         by_reviewer.setdefault(record.reviewer_id, []).append(record)
     return tuple(
-        statistics.pstdev(
+        _pstdev([
             sum(r.scores[q] for r in reviewed) / len(reviewed)
             for reviewed in by_reviewer.values()
-        )
+        ])
         for q in range(SCORE_COUNT)
     )
 

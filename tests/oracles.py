@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 
 ORACLE_STOPWORDS = {
     "a", "an", "the", "and", "or", "but", "if", "then",
@@ -163,6 +165,28 @@ def oracle_pstdev(values: list[float]) -> float:
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
     return variance ** 0.5
+
+
+def oracle_rounded_pstdev(values: list[float]) -> float:
+    """The float nearest the square root of the exact (``Fraction``)
+    population variance of *values*, ties to an even significand: found from
+    ``math.sqrt``'s guess by comparing the variance with the exact squares of
+    the midpoints to the neighbouring floats."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((v - mean) ** 2 for v in exact) / len(exact)
+    root = math.sqrt(float(variance))
+    while True:
+        below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+        low = ((Fraction(root) + Fraction(below)) / 2) ** 2
+        high = ((Fraction(root) + Fraction(above)) / 2) ** 2
+        odd = int(math.ldexp(math.frexp(root)[0], 53)) % 2 == 1
+        if variance < low or (variance == low and odd):
+            root = below
+        elif variance > high or (variance == high and odd):
+            root = above
+        else:
+            return root
 
 
 def oracle_lexicon_hits(context: str, entries: dict[str, frozenset[str]]) -> dict[str, int]:

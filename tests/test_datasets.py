@@ -183,6 +183,33 @@ class TestParseSquad:
             parse_squad(raw)
         assert str(excinfo.value) == f"{path}: not UTF-8 text"
 
+    def test_literal_lone_surrogate_is_malformed_with_path(self):
+        # A str can hold a lone surrogate as it is, with no escape in the JSON.
+        payload = squad_payload()
+        payload["data"][0]["paragraphs"][1]["context"] = "Cats \ud800 sleep."
+        raw = json.dumps(payload, ensure_ascii=False)
+        assert "\\ud800" not in raw
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(raw)
+        assert str(excinfo.value) == "data[0].paragraphs[1].context: not UTF-8 text"
+
+    def test_upper_case_surrogate_escape_is_malformed_with_path(self):
+        payload = squad_payload()
+        payload["data"][0]["paragraphs"][0]["qas"][1]["question"] = "Cats \ud800 sleep?"
+        raw = json.dumps(payload).replace("\\ud800", "\\uD800")
+        assert "\\uD800" in raw
+        with pytest.raises(MalformedDataset) as excinfo:
+            parse_squad(raw)
+        assert str(excinfo.value) == "data[0].paragraphs[0].qas[1].question: not UTF-8 text"
+
+    def test_escaped_backslash_before_u_is_text(self):
+        # "\\ud800" in JSON is a backslash and then "ud800": no surrogate.
+        payload = squad_payload()
+        payload["data"][0]["paragraphs"][0]["context"] = "Cats \\ud800 sleep."
+        raw = json.dumps(payload)
+        assert "\\\\ud800" in raw
+        assert parse_squad(raw)[0].context == "Cats \\ud800 sleep."
+
     def test_surrogate_pair_is_text(self):
         payload = squad_payload()
         payload["data"][0]["paragraphs"][0]["context"] = "Cats \U0001f431 sleep."

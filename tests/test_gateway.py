@@ -656,6 +656,27 @@ class TestTransport:
         assert len(set(server.ports)) == 3
         assert seconds < RETRY_BASE_DELAY_SECONDS
 
+    def test_close_after_interim_reply_spends_the_attempt(self, own_routes):
+        # A server that has sent 100 Continue has the request: a close after
+        # it fails the attempt, and the request is not sent again.
+        class ClosesAfterInterim(AnswersAnyPath):
+            def do_POST(self):
+                if self.path != "/v1/closes":
+                    return super().do_POST()
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.server.ports.append(self.client_address[1])
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                self.close_connection = True
+
+        server = any_path_server(ClosesAfterInterim)
+        with serving(server) as url:
+            post_json(f"{url}/v1/domain", {}, BackendEndpointSet())
+            with pytest.raises(BackendUnavailable):
+                post_json(f"{url}/v1/closes", {}, BackendEndpointSet(max_retries=0))
+        # Once, on the kept-alive connection of the call before.
+        assert len(server.ports) == 2
+        assert len(set(server.ports)) == 1
+
     @pytest.mark.parametrize("path", ["/v1/slow", "/v1/interim"])
     def test_failed_exchange_drops_the_kept_alive_connection(self, own_routes, path):
         # A reply that comes too late, after an interim (1xx) reply or not,

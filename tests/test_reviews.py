@@ -5,8 +5,13 @@ import csv
 import math
 import random
 import re
+import statistics
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faqgen.reviews import (
     REVIEW_HEADER,
@@ -18,7 +23,9 @@ from faqgen.reviews import (
     format_report,
     read_review_sheet,
 )
-from oracles import oracle_mean_rounded, oracle_pstdev
+from oracles import oracle_mean_rounded, oracle_pstdev, oracle_rounded_pstdev
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def record(doc, domain, reviewer, scores):
@@ -152,6 +159,42 @@ class TestReviewerStddevs:
                 reviewer_avgs.append(sum(scores) / len(scores))
             assert abs(deviations[q] - oracle_pstdev(reviewer_avgs)) < 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(*[st.integers(0, 10)] * 5), min_size=1, max_size=12),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_deviation_is_correctly_rounded(self, sheets):
+        # sheets[r] holds reviewer r's scores, one tuple per document reviewed.
+        records = [
+            record(f"d{doc}", "Gaming", f"r{reviewer}", scores)
+            for reviewer, reviewed in enumerate(sheets)
+            for doc, scores in enumerate(reviewed)
+        ]
+        deviations = reviewer_stddevs(records)["Gaming"]
+        for q in range(5):
+            means = [sum(scores[q] for scores in reviewed) / len(reviewed) for reviewed in sheets]
+            assert deviations[q] == oracle_rounded_pstdev(means)
+            if sys.version_info >= (3, 11):
+                # pstdev is correctly rounded from Python 3.11 on.
+                assert deviations[q] == statistics.pstdev(means)
+
+    def test_deviation_cell_is_the_same_on_every_python(self):
+        # Means 7.25 and 1.4: the exact deviation lies a hair above 2.925, and
+        # the float nearest it is the one nearest 2.925, which prints "2.92".
+        # Python 3.10's pstdev returned the float above it, which prints "2.93".
+        records = [
+            record(f"d{doc}", "Gaming", reviewer, [score, 0, 0, 0, 0])
+            for reviewer, scores in (("r1", [7, 7, 7, 8]), ("r2", [1, 1, 1, 2, 2]))
+            for doc, score in enumerate(scores)
+        ]
+        deviation = reviewer_stddevs(records)["Gaming"][0]
+        assert deviation == 2.925
+        assert f"{deviation:.2f}" == "2.92"
+
     def test_single_reviewer_zero_deviation(self):
         records = [record("d1", "Gaming", "r1", [3, 4, 5, 6, 7])]
         assert reviewer_stddevs(records)["Gaming"] == (0.0,) * 5
@@ -259,3 +302,11 @@ class TestReport:
         assert "7.5" in lines[-1]
         # stddev cells carry two decimals
         assert "0.47" in lines[1]
+
+    def test_golden_report(self):
+        # Five domains, 2-6 reviewers per domain with uneven document counts,
+        # so the deviation cells are not trivial; the report is the one that
+        # statistics.pstdev's deviations gave.
+        records = read_review_sheet(FIXTURES / "review_sheet.csv")
+        expected = (FIXTURES / "review_report.txt").read_text(encoding="utf-8")
+        assert format_report(aggregate(records)) + "\n" == expected
