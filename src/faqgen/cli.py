@@ -34,7 +34,6 @@ from .domains import classify, default_lexicon, load_lexicon
 from .gateway import BackendEndpointSet, GatewayError
 from .pipeline import PipelineConfig, PipelineWarning, chunk_domain, run
 from .reviews import aggregate, format_report, read_review_sheet
-from .stubserver import serve_stub
 
 CONFIG_ENV_VAR = "FAQGEN_CONFIG"
 
@@ -186,8 +185,12 @@ def _cmd_classify(args: argparse.Namespace, environment: Mapping[str, str]) -> i
 
 
 def _cmd_serve_stub(args: argparse.Namespace, environment: Mapping[str, str]) -> int:
+    from .stubserver import serve_stub
+
     host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdecimal() or int(port_text) > 65535:
+    # 1-5 ASCII digits: int() also takes other scripts' digits, and raises past 4300.
+    valid = host and len(port_text) <= 5 and port_text.isascii() and port_text.isdecimal()
+    if not valid or int(port_text) > 65535:
         raise UsageError(f"--bind must be host:port, got {args.bind!r}")
     serve_stub(host, int(port_text))
     return 0

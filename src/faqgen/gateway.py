@@ -19,7 +19,6 @@ import io
 import json
 import os
 import socket
-import ssl
 import sys
 import threading
 import time
@@ -28,8 +27,6 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterable
 from urllib.parse import urlsplit
-
-import requests
 
 from .chunker import TERMINALS, Chunk, content_tokens, is_text, iter_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
@@ -262,6 +259,8 @@ def _resolve(url: str) -> tuple:
     connect to, the CONNECT request, the SSL context and host name. An
     internationalised host name is read, sent and verified in its IDNA form.
     Raises ValueError or OSError when *url* or a setting cannot be used."""
+    import requests
+
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"not an http(s) URL: {url!r}")
@@ -298,6 +297,8 @@ def _resolve(url: str) -> tuple:
             target = requests.utils.urldefragauth(url)
             fields += auth
     if parts.scheme == "https":
+        import ssl
+
         ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
         ca = ca or requests.utils.DEFAULT_CA_BUNDLE_PATH
         tls = ssl.create_default_context(
@@ -305,6 +306,16 @@ def _resolve(url: str) -> tuple:
         ), parts.hostname
     head = f"POST {target} HTTP/1.1\r\n{fields}Content-Length: ".encode("ascii")
     return (parts.scheme, parts.hostname, port, proxy), head, (address, tunnel, tls)
+
+
+# ROADMAP item 1 (the run record) deletes this __getattr__.
+def __getattr__(name: str):
+    """``requests``, imported on first use (PEP 562): bench/tracing.py counts posts through it."""
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _time_left(deadline: float) -> float:

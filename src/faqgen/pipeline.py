@@ -7,7 +7,6 @@ by chunk index before ranking, so output is identical for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -189,6 +188,8 @@ def run(doc: SourceDocument, cfg: PipelineConfig) -> FaqResult:
     if cfg.worker_count == 1 or len(chunks) == 1:
         outcomes = [process_chunk(chunk, cfg) for chunk in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
             outcomes = list(pool.map(process_chunk, chunks, repeat(cfg)))
 

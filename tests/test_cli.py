@@ -315,6 +315,15 @@ class TestUsageErrors:
     def test_serve_stub_port_out_of_range(self, capsys):
         assert run_cli(["serve-stub", "--bind", "127.0.0.1:70000"], {}) == 2
 
+    @pytest.mark.parametrize(
+        "port",
+        ["1" * 5000, "\u0668\u0660\u0668\u0660", "000080"],
+        ids=["5000-digits", "arabic-indic-digits", "six-digits"],
+    )
+    def test_serve_stub_port_not_1_to_5_ascii_digits(self, capsys, port):
+        assert run_cli(["serve-stub", "--bind", f"127.0.0.1:{port}"], os.environ) == 2
+        assert capsys.readouterr().err.startswith("error: --bind must be host:port, got ")
+
 
 class TestServeStub:
     def test_taken_port_prints_nothing_to_stdout(self, stub_server_url, capsys):
@@ -344,6 +353,44 @@ class TestServeStub:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+
+# Runs one command through run_cli in a fresh interpreter; its last line of
+# stdout is the exit code and the names of every module then imported.
+IMPORT_SET_SCRIPT = """
+import json, os, sys
+from faqgen.cli import run_cli
+code = run_cli(sys.argv[1:], os.environ)
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+class TestColdImports:
+    """An offline command never loads the HTTP client, TLS, the stub server
+    or the thread pool: they load only when a command uses them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--input", "tests/fixtures/fixture_doc.txt", "--count", "3"],
+            ["classify", "--input", "tests/fixtures/fixture_doc.txt"],
+            ["eval", "aggregate", "--input", "tests/fixtures/review_sheet.csv"],
+        ],
+        ids=["generate", "classify", "eval-aggregate"],
+    )
+    def test_offline_command_imports(self, argv):
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "FAQGEN_CONFIG"}
+        env["PYTHONPATH"] = str(root / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_SET_SCRIPT, *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        code, modules = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, done.stderr
+        absent = ["requests", "urllib3", "ssl", "http.client", "faqgen.stubserver",
+                  "concurrent.futures"]
+        assert [name for name in absent if name in modules] == []
 
 
 class TestDatasetCommands:

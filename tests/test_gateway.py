@@ -1071,6 +1071,27 @@ class TestReplyFraming:
             }
 
 
+class TestLazyTransportImports:
+    # requests and ssl load on the first URL that needs them, yet
+    # gateway.requests stays the module bench/tracing.py counts posts through.
+
+    def test_gateway_requests_is_the_requests_module(self):
+        module = gateway.requests
+        assert module is sys.modules["requests"]
+        assert callable(module.post)
+
+    def test_other_names_are_absent(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gateway.no_such_name
+
+    def test_https_url_routes_through_an_ssl_context(self, monkeypatch):
+        monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+        monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+        _, _, (_, _, tls) = gateway._resolve("https://lazy-ssl.invalid/v1/domain")
+        assert isinstance(tls[0], ssl.SSLContext)
+        assert tls[1] == "lazy-ssl.invalid"
+
+
 class TestCaBundleEnvironment:
     # The environment is read once per process and URL, so each case posts
     # to a URL that no other test uses.
