@@ -15,9 +15,11 @@ pure functions of their inputs so end-to-end runs are reproducible offline.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
+import re
 import socket
 import sys
 import threading
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterable
-from urllib.parse import urlsplit
+from urllib.parse import quote, unquote, urlsplit
 
 from .chunker import TERMINALS, Chunk, content_tokens, is_text, iter_sentences, word_tokens
 from .domains import DOMAINS, DomainLexicon, classify, parse_domain
@@ -248,64 +250,92 @@ def _route(url: str) -> tuple[_Connection, bytes]:
     return connection, head
 
 
+def _proxy(scheme: str, name: str, port: int | None) -> str | None:
+    """The proxy for a *scheme* URL to host *name*: ``<scheme>_proxy``, else
+    ``all_proxy`` (either case), with ``http://`` if it names no scheme. None
+    when ``no_proxy`` (else ``NO_PROXY``) is ``*`` or lists the name or a
+    domain suffix of it, with *port* or without, or for an IPv4 address, a
+    network ``a.b.c.d/n`` holding it."""
+    import ipaddress
+    from urllib.request import getproxies, proxy_bypass_environment
+
+    proxy = next(filter(None, map(getproxies().get, (scheme, "all"))), None)
+    no_proxy = os.environ.get("no_proxy") or os.environ.get("NO_PROXY") or ""
+    for entry in no_proxy.split(","):
+        with contextlib.suppress(ValueError):  # not an IPv4 address and network
+            if ipaddress.IPv4Address(name) in ipaddress.IPv4Network(entry.strip(), strict=False):
+                return None
+    if not proxy or proxy_bypass_environment(f"{name}:{port}" if port else name, {"no": no_proxy}):
+        return None
+    return proxy if "://" in proxy else f"http://{proxy}"
+
+
 @lru_cache(maxsize=_MAX_ROUTES)  # a URL that raises is not kept
 def _resolve(url: str) -> tuple:
-    """How to reach *url*, reading the environment: the proxy (``HTTP_PROXY``,
-    ``HTTPS_PROXY``, ``NO_PROXY``), the CA bundle (``REQUESTS_CA_BUNDLE``, else
-    ``CURL_CA_BUNDLE``) and ``.netrc`` credentials, else the URL's own. A
-    plain-HTTP proxy is sent the absolute URI; an HTTPS URL is tunnelled
-    through it (CONNECT). Returns the connection's key (origin and proxy), a
-    POST's head up to its Content-Length value, and the route: the address to
-    connect to, the CONNECT request, the SSL context and host name. An
-    internationalised host name is read, sent and verified in its IDNA form.
-    Raises ValueError or OSError when *url* or a setting cannot be used."""
-    import requests
+    """How to reach *url*, reading the environment: the proxy (``_proxy``),
+    the CA bundle (``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``, else the
+    system store) and ``.netrc`` credentials (``$NETRC``, else ``~/.netrc`` or
+    ``~/_netrc``), else the URL's own. A plain-HTTP proxy is sent the absolute
+    URI; an HTTPS URL is tunnelled through it (CONNECT). Returns the
+    connection's key (origin and proxy), a POST's head up to its
+    Content-Length value, and the route: the address to connect to, the
+    CONNECT request, the SSL context and host name. The host name goes out in
+    its IDNA form; it, the path and the query are percent-encoded (UTF-8)
+    where a URL cannot hold them. Raises ValueError or OSError when *url* or
+    a setting cannot be used."""
+    import base64
+    import netrc
+
+    def basic(user: str, password: str) -> str:
+        return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin-1")).decode()
+
+    def requote(text: str) -> str:  # and a '%' that begins no escape as '%25'
+        return re.sub("%(?![0-9A-Fa-f]{2})", "%25", quote(text, safe="!#$%&'()*+,/:;=?@[]~"))
 
     parts = urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"not an http(s) URL: {url!r}")
-    name = parts.hostname.encode("idna").decode()  # raises for a name no resolver takes
-    if name != parts.hostname:  # requote_uri would percent-encode an internationalised name
-        userinfo, at, hostport = parts.netloc.rpartition("@")
-        _, colon, port_text = hostport.partition(":")
-        url = parts._replace(netloc=f"{userinfo}{at}{name}{colon}{port_text}").geturl()
-    url = requests.utils.requote_uri(url)
-    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+        raise ValueError(f"not an http(s) URL with a host and a nonzero port: {url!r}")
+    name = requote(parts.hostname.encode("idna").decode())  # raises for a name no resolver takes
     host = f"[{name}]" if ":" in name else name
     port = parts.port or (443 if parts.scheme == "https" else 80)
     origin = f"{host}:{port}"
-    fields = f"Host: {origin if parts.port else host}\r\nAccept-Encoding: identity\r\n"
-    fields += "Content-Type: application/json\r\n"
-    credentials = requests.utils.get_netrc_auth(url) or requests.utils.get_auth_from_url(url)
-    if any(credentials):
-        fields += f"Authorization: {requests.auth._basic_auth_str(*credentials)}\r\n"
-    target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
-    address, tunnel, tls = (parts.hostname, port), None, None
-    proxy = requests.utils.select_proxy(url, requests.utils.get_environ_proxies(url))
+    netloc = origin if parts.port else host
+    fields = f"Host: {netloc}\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
+    netrc_files = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    netrc_file = next(filter(os.path.exists, map(os.path.expanduser, netrc_files)), None)
+    entry = None
+    if netrc_file:
+        with contextlib.suppress(netrc.NetrcParseError, OSError):
+            entry = netrc.netrc(netrc_file).authenticators(name)
+    if entry and any(entry):
+        fields += f"Authorization: {basic(entry[0] or entry[1] or '', entry[2] or '')}\r\n"
+    elif parts.password is not None and (parts.username or parts.password):
+        fields += f"Authorization: {basic(unquote(parts.username), unquote(parts.password))}\r\n"
+    path, query = requote(parts.path), parts.query and "?" + requote(parts.query)
+    target = (path or "/") + query
+    address, tunnel, tls = (name, port), None, None
+    proxy = _proxy(parts.scheme, name, parts.port)
     if proxy:
-        proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
         proxy_parts = urlsplit(proxy)
-        if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+        if proxy_parts.scheme != "http" or not proxy_parts.hostname or proxy_parts.port == 0:
             raise ValueError(f"not a plain-HTTP proxy: {proxy!r}")
-        user, password = requests.utils.get_auth_from_url(proxy)
-        auth = requests.auth._basic_auth_str(user, password) if user else None
+        user, password = proxy_parts.username, proxy_parts.password
+        auth = basic(unquote(user), unquote(password)) if user and password is not None else ""
         auth = f"Proxy-Authorization: {auth}\r\n" if auth else ""
         address = (proxy_parts.hostname, proxy_parts.port or 80)
         if parts.scheme == "https":
             tunnel = f"CONNECT {origin} HTTP/1.1\r\nHost: {origin}\r\n{auth}\r\n".encode()
         else:
-            target = requests.utils.urldefragauth(url)
+            target = f"http://{netloc}{path}{query}"
             fields += auth
     if parts.scheme == "https":
         import ssl
 
         ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-        ca = ca or requests.utils.DEFAULT_CA_BUNDLE_PATH
-        tls = ssl.create_default_context(
-            **({"capath": ca} if os.path.isdir(ca) else {"cafile": ca})
-        ), parts.hostname
+        where = {"capath": ca} if ca and os.path.isdir(ca) else {"cafile": ca}
+        tls = ssl.create_default_context(**where), name
     head = f"POST {target} HTTP/1.1\r\n{fields}Content-Length: ".encode("ascii")
-    return (parts.scheme, parts.hostname, port, proxy), head, (address, tunnel, tls)
+    return (parts.scheme, name, port, proxy), head, (address, tunnel, tls)
 
 
 # ROADMAP item 1 (the run record) deletes this __getattr__.

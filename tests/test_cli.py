@@ -365,9 +365,23 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+# Runs one command through run_cli in a fresh interpreter in which
+# ``import requests`` raises; its last line of stderr is the exit code and the
+# names of every module then loaded.
+NO_REQUESTS_SCRIPT = """
+import json, os, sys
+sys.modules["requests"] = None
+from faqgen.cli import run_cli
+code = run_cli(sys.argv[1:], os.environ)
+loaded = sorted(name for name, module in sys.modules.items() if module is not None)
+print(json.dumps([code, loaded]), file=sys.stderr)
+"""
+
+
 class TestColdImports:
     """An offline command never loads the HTTP client, TLS, the stub server
-    or the thread pool: they load only when a command uses them."""
+    or the thread pool: they load only when a command uses them. No command
+    needs requests."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -391,6 +405,29 @@ class TestColdImports:
         absent = ["requests", "urllib3", "ssl", "http.client", "faqgen.stubserver",
                   "concurrent.futures"]
         assert [name for name in absent if name in modules] == []
+
+    def test_http_generate_runs_without_requests(self, stub_server_url, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items()
+               if k != "FAQGEN_CONFIG" and not k.lower().endswith("_proxy")}
+        env["PYTHONPATH"] = str(root / "src")
+        config = tmp_path / "http.conf"
+        config.write_text("".join(
+            f"{step}_url = {stub_server_url}/v1/{step}\n"
+            for step in ("domain", "questions", "answer_phrase", "complete_answer")
+        ))
+        argv = ["generate", "--input", "tests/fixtures/fixture_doc.txt", "--count", "5"]
+        runs = [
+            subprocess.run([sys.executable, "-c", NO_REQUESTS_SCRIPT, *argv, *extra],
+                           cwd=root, env=env, capture_output=True, timeout=60)
+            for extra in ([], ["--config", str(config)])
+        ]
+        (offline_code, _), (code, modules) = (
+            json.loads(run.stderr.splitlines()[-1]) for run in runs
+        )
+        assert (offline_code, code) == (0, 0), runs[1].stderr
+        assert runs[0].stdout and runs[1].stdout == runs[0].stdout
+        assert [name for name in ("requests", "urllib3") if name in modules] == []
 
 
 class TestDatasetCommands:

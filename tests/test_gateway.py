@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import os
 import socket
 import socketserver
 import ssl
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 import unittest.mock
+import urllib.request
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -748,14 +750,14 @@ class TestTransport:
         gateway._resolve.cache_clear()
         request.addfinalizer(gateway._resolve.cache_clear)
         looked_up = []
-        original = gateway.requests.utils.get_environ_proxies
+        original = urllib.request.getproxies
 
-        def counted(url, *args, **kwargs):
-            looked_up.append(url)
+        def counted():
+            looked_up.append(threading.get_ident())
             time.sleep(0.005)  # long enough for the other workers to ask too
-            return original(url, *args, **kwargs)
+            return original()
 
-        monkeypatch.setattr(gateway.requests.utils, "get_environ_proxies", counted)
+        monkeypatch.setattr(urllib.request, "getproxies", counted)
         urls = {f"{step}_url": f"{stub_server_url}/v1/{step}" for step in STUB_HANDLERS}
         config = PipelineConfig(chunk_size_words=10, worker_count=4,
                                 endpoints=BackendEndpointSet(**urls, max_retries=0))
@@ -768,7 +770,7 @@ class TestTransport:
             sys.setswitchinterval(interval)
         assert first.total_generated > 0
         assert first.to_json() == second.to_json()
-        assert sorted(looked_up) == sorted(urls.values())
+        assert len(looked_up) == len(urls.values())  # the lookup takes no URL: one per URL
 
     def test_redirect_is_rejected_not_followed(self, canned_backend):
         target_url, target = canned_backend({"/v1/domain": [(200, {"domain": "Music"})]})
@@ -783,6 +785,7 @@ class TestTransport:
         "ftp://127.0.0.1/v1/domain",
         "http:///v1/domain",
         "http://127.0.0.1:99999/v1/domain",
+        "http://127.0.0.1:0/v1/domain",  # not sent to port 80
         f"http://{'a' * 64}.invalid/v1/domain",  # a label no resolver takes
     ])
     def test_unusable_url_is_unavailable_at_once(self, url):
@@ -1072,8 +1075,8 @@ class TestReplyFraming:
 
 
 class TestLazyTransportImports:
-    # requests and ssl load on the first URL that needs them, yet
-    # gateway.requests stays the module bench/tracing.py counts posts through.
+    # ssl loads on the first https URL. requests loads only through
+    # gateway.requests, the module bench/tracing.py counts posts through.
 
     def test_gateway_requests_is_the_requests_module(self):
         module = gateway.requests
@@ -1239,6 +1242,45 @@ class TestProxyEnvironment:
             with pytest.raises(GatewayError):
                 post_json(f"{url}/v1/netrc", {"context": "x"}, BackendEndpointSet(max_retries=0))
         assert server.seen == [("POST /v1/netrc", None, "Basic dXNlcjpzZWNyZXQ=")]
+
+
+RESOLVE_GRID = json.loads((FIXTURES / "resolve_grid.json").read_text(encoding="utf-8"))
+RESOLVE_FIELDS = ("key", "head", "address", "tunnel", "server_name")
+
+
+def resolve_grid_rows():
+    """Each row of the grid with what ``_resolve`` must give: what it gave when
+    it read the environment through requests' helpers, but for the fields a
+    row's "changed" entry names. Such a row's id says why it changed."""
+    for row, fields in RESOLVE_GRID["requests"].items():
+        changed = RESOLVE_GRID["changed"].get(row, {"why": []})
+        expected = [changed.get(name, value) for name, value in zip(RESOLVE_FIELDS, fields)]
+        yield pytest.param(row, expected, id="-changed-".join([row, *changed["why"]]))
+
+
+class TestResolveGrid:
+    """``_resolve`` over each URL in each environment of
+    tests/fixtures/resolve_grid.json: the connection key, the head's bytes,
+    the address, the CONNECT request and the TLS server name."""
+
+    @pytest.mark.parametrize("row, expected", resolve_grid_rows())
+    def test_route_and_head(self, monkeypatch, tmp_path, row, expected):
+        environment, url = row.split("/")
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy") or name in RESOLVE_GRID["cleared"]:
+                monkeypatch.delenv(name)
+        for relative, text in RESOLVE_GRID["files"].items():
+            (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relative).write_text(text, encoding="utf-8")
+        (tmp_path / "empty-home").mkdir()
+        monkeypatch.setenv("HOME", str(tmp_path / "empty-home"))
+        for name, value in RESOLVE_GRID["environments"][environment].items():
+            monkeypatch.setenv(name, value.replace("{tmp}", str(tmp_path)))
+        key, head, (address, tunnel, tls) = gateway._resolve.__wrapped__(
+            RESOLVE_GRID["urls"][url]
+        )
+        assert [list(key), head.decode("latin-1"), list(address),
+                tunnel and tunnel.decode("latin-1"), tls and tls[1]] == expected
 
 
 class _RecordingHandler(BaseHTTPRequestHandler):
